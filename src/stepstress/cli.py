@@ -276,7 +276,7 @@ def cmd_test(args) -> int:
     bundle, _ = _load(args)
     constraint = _parse_constraint(args.constraint)
     result = _fit_one(bundle, args.beta)
-    test = wald_statistic(result, bundle.plan, constraint)
+    test = wald_statistic(result, constraint)
     rows = [[
         test.statistic,
         test.df,

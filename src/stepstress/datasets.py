@@ -313,7 +313,6 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
             used_values.append(float(token))
 
     raw = None
-    n_removed = 0
     if kind == "times":
         raw = RawLifetimeData(
             used_values,
@@ -322,12 +321,6 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
             censored_note=header.get("censored_note", ""),
         )
         data = bin_failures(raw, inspection_times)
-        if analysis == "drop-censored":
-            survivors = int(round(data.counts[-1]))
-            counts = data.counts.copy()
-            counts[-1] = 0
-            data = IntervalData(counts, n_total - survivors)
-            n_removed = survivors
     else:
         counts = np.array([float(v) for v in used_values])
         if len(counts) != plan.n_cells:
@@ -341,12 +334,13 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
                 f"n_total {n_total}"
             )
         data = IntervalData(counts, n_total)
-        if analysis == "drop-censored":
-            survivors = int(round(counts[-1]))
-            counts = counts.copy()
-            counts[-1] = 0
-            data = IntervalData(counts, n_total - survivors)
-            n_removed = survivors
+
+    n_removed = 0
+    if analysis == "drop-censored":
+        n_removed = int(round(data.counts[-1]))
+        counts = data.counts.copy()
+        counts[-1] = 0
+        data = IntervalData(counts, n_total - n_removed)
 
     return DatasetBundle(
         name=header["name"],

@@ -23,10 +23,10 @@ from .model import (
     ModelParams,
     ParameterSpaceWarning,
     StressPlan,
+    _segments_cdf,
     cell_probabilities,
     gradient_matrix,
 )
-from .special_math import CONDITION_LIMIT, inverse3, pseudo_inverse3
 
 __all__ = [
     "FitConfig",
@@ -35,7 +35,9 @@ __all__ = [
     "estimating_residual",
     "fit",
     "fit_proportions",
+    "invert_information",
     "sandwich_matrices",
+    "CONDITION_LIMIT",
     "PROBABILITY_FLOOR",
 ]
 
@@ -44,6 +46,10 @@ __all__ = [
 PROBABILITY_FLOOR = 1e-12
 
 _INFEASIBLE = 1e12
+
+# Above this condition number the J matrix is pseudo-inverted and the fit
+# flagged ill-conditioned.
+CONDITION_LIMIT = 1e12
 
 # Betas this small are evaluated in the KL limit: the O(beta) gap to it is
 # far below double precision, while beta * log(p/pi) could already be a
@@ -87,8 +93,8 @@ class FitResult:
     covariance is the per-observation sandwich J^-1 K J^-1 evaluated at the
     estimate; divide by n_devices for the variance of theta_hat.
     ill_conditioned is set when the J matrix had to be pseudo-inverted
-    (condition number beyond 1e12), which also flags untrustworthy, very
-    wide intervals downstream.
+    (condition number beyond CONDITION_LIMIT), which also flags
+    untrustworthy, very wide intervals downstream.
     """
 
     params: ModelParams
@@ -181,6 +187,24 @@ def sandwich_matrices(
     return 0.5 * (j + j.T), 0.5 * (k + k.T)
 
 
+def invert_information(j: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Inverse of the J matrix, or its pseudo-inverse when J is ill-conditioned.
+
+    Returns (j_inv, ill_conditioned). Up to a condition number of
+    CONDITION_LIMIT this is the plain inverse; beyond it, the Moore-Penrose
+    pseudo-inverse of the symmetrized J, which treats eigenvalues below
+    1 / CONDITION_LIMIT of the largest as exact zeros. Every covariance,
+    Wald test and influence function in the package inverts J here.
+    """
+    j = np.asarray(j, dtype=float)
+    if not np.all(np.isfinite(j)):
+        raise NumericError("information matrix has non-finite entries")
+    if np.linalg.cond(j) <= CONDITION_LIMIT:
+        return np.linalg.inv(j), False
+    sym = 0.5 * (j + j.T)
+    return np.linalg.pinv(sym, rcond=1.0 / CONDITION_LIMIT, hermitian=True), True
+
+
 def _quiet_params(a0: float, a1: float, eta: float) -> ModelParams:
     """ModelParams without the a1 >= 0 warning, for optimizer internals."""
     with warnings.catch_warnings():
@@ -198,10 +222,7 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     """
     g_hat = np.cumsum(p_hat[:-1])
     t = plan.inspection_times
-    seg = np.minimum(
-        np.searchsorted(plan.change_times, t, side="left"), plan.n_levels - 1
-    )
-    x = plan.stress_levels[seg]
+    x = plan.stress_levels[_segments_cdf(plan, t)]
     mask = (g_hat > 1e-9) & (g_hat < 1 - 1e-9)
     if mask.sum() >= 2 and len(np.unique(x[mask])) >= 2:
         y = np.log(-np.log1p(-g_hat[mask])) - np.log(t[mask])
@@ -354,9 +375,7 @@ def fit_proportions(
     converged = grad_norm <= config.grad_tol
 
     j, k = sandwich_matrices(params, plan, beta)
-    j_inv, _, ill_conditioned = inverse3(j)
-    if ill_conditioned:
-        j_inv = pseudo_inverse3(j)
+    j_inv, ill_conditioned = invert_information(j)
     covariance = j_inv @ k @ j_inv
     covariance = 0.5 * (covariance + covariance.T)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import PROBABILITY_FLOOR, sandwich_matrices
+from .estimation import PROBABILITY_FLOOR, invert_information, sandwich_matrices
 from .model import (
     ModelParams,
     StressPlan,
@@ -29,7 +29,6 @@ from .model import (
     gradient_matrix,
     shift_terms,
 )
-from .special_math import inverse3, pseudo_inverse3
 from .wald import Constraint, _inner_matrix, _sigma_at, _solve_inner
 
 
@@ -52,10 +51,10 @@ def _check_cell(plan: StressPlan, cell: int) -> int:
     return cell
 
 
-def if_mdpde(
+def _influence(
     params: ModelParams, plan: StressPlan, beta: float, cell: int
-) -> np.ndarray:
-    """IF of the parameter estimate at a point mass on the given cell."""
+) -> tuple[np.ndarray, bool]:
+    """IF of the parameter estimate, and whether J was pseudo-inverted."""
     cell = _check_cell(plan, cell)
     pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
     w = gradient_matrix(params, plan)
@@ -63,16 +62,23 @@ def if_mdpde(
     delta[cell - 1] = 1.0
     score = w.T @ (pi ** (beta - 1.0) * (delta - pi))
     j, _ = sandwich_matrices(params, plan, beta)
-    inv = inverse3(j)
-    if inv.ill_conditioned:
+    j_inv, ill_conditioned = invert_information(j)
+    return j_inv @ score, ill_conditioned
+
+
+def if_mdpde(
+    params: ModelParams, plan: StressPlan, beta: float, cell: int
+) -> np.ndarray:
+    """IF of the parameter estimate at a point mass on the given cell."""
+    vector, ill_conditioned = _influence(params, plan, beta, cell)
+    if ill_conditioned:
         warnings.warn(
             "information matrix is ill-conditioned; influence computed "
             "with a pseudo-inverse",
             RuntimeWarning,
             stacklevel=2,
         )
-        return pseudo_inverse3(j) @ score
-    return inv.matrix @ score
+    return vector
 
 
 def wald_quadratic_form(
@@ -141,11 +147,7 @@ def influence_report(
 ) -> IFReport:
     """Bundle the parameter IF (and optionally the Wald form) for a cell."""
     cell = _check_cell(plan, cell)
-    j, _ = sandwich_matrices(params, plan, beta)
-    ill = inverse3(j).ill_conditioned
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        vector = if_mdpde(params, plan, beta, cell)
+    vector, ill = _influence(params, plan, beta, cell)
     second = None
     if constraint is not None:
         second = wald_quadratic_form(vector, params, plan, beta, constraint, n_devices)

@@ -22,11 +22,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, ndtri, psi
 
 from .errors import ExtrapolationWarning, NumericError
 from .estimation import FitResult
-from .model import ModelParams, StressPlan
-from .special_math import digamma_fn, gamma_fn, std_normal_quantile
+from .model import ModelParams, StressPlan, scale_at_level
 
 CHARACTERISTIC_KINDS = ("reliability", "quantile", "mean")
 
@@ -53,15 +53,11 @@ class CharacteristicEstimate:
     confidence: float
 
 
-def _scale_at(params: ModelParams, x0: float) -> float:
-    return float(np.exp(params.a0 + params.a1 * x0))
-
-
 def reliability(params: ModelParams, x0: float, t: float) -> float:
     """Probability that a device at stress x0 survives past time t."""
     if t <= 0:
         raise ValueError("mission time t must be positive")
-    u = (t / _scale_at(params, x0)) ** params.eta
+    u = (t / scale_at_level(params, x0)) ** params.eta
     return float(np.exp(-u))
 
 
@@ -73,12 +69,12 @@ def quantile(params: ModelParams, x0: float, level: float) -> float:
     """
     if not 0.0 < level < 1.0:
         raise ValueError("reliability level must lie strictly in (0, 1)")
-    return _scale_at(params, x0) * (-np.log(level)) ** (1.0 / params.eta)
+    return scale_at_level(params, x0) * (-np.log(level)) ** (1.0 / params.eta)
 
 
 def mean_lifetime(params: ModelParams, x0: float) -> float:
     """Expected lifetime at stress x0."""
-    return _scale_at(params, x0) * gamma_fn(1.0 + 1.0 / params.eta)
+    return scale_at_level(params, x0) * float(gamma(1.0 + 1.0 / params.eta))
 
 
 def characteristic_gradient(
@@ -88,7 +84,7 @@ def characteristic_gradient(
     eta = params.eta
     if kind == "reliability":
         t = _require_extra(kind, extra)
-        alpha0 = _scale_at(params, x0)
+        alpha0 = scale_at_level(params, x0)
         u = (t / alpha0) ** eta
         r = np.exp(-u)
         return r * u * np.array([eta, eta * x0, -np.log(t / alpha0)])
@@ -100,7 +96,7 @@ def characteristic_gradient(
         if extra is not None:
             raise ValueError("mean lifetime takes no extra argument")
         value = mean_lifetime(params, x0)
-        return value * np.array([1.0, x0, -digamma_fn(1.0 + 1.0 / eta) / eta**2])
+        return value * np.array([1.0, x0, -psi(1.0 + 1.0 / eta) / eta**2])
     raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
 
 
@@ -165,7 +161,7 @@ def characteristic_ci(
     if var < -1e-10 * max(1.0, float(np.abs(grad).max()) ** 2):
         raise NumericError("covariance is not positive semi-definite")
     se = np.sqrt(max(var, 0.0) / fit.n_devices)
-    z = std_normal_quantile(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
 
     ci_direct = (value - z * se, value + z * se)
     if kind == "reliability":
@@ -194,7 +190,7 @@ def param_ci(fit: FitResult, confidence: float = 0.95) -> np.ndarray:
         raise ValueError("confidence must lie strictly in (0, 1)")
     if not fit.converged:
         raise ValueError("cannot build intervals from a non-converged fit")
-    z = std_normal_quantile(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
     center = fit.params.as_array()
     half = z * fit.standard_errors
     return np.column_stack([center - half, center + half])

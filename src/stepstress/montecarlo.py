@@ -184,7 +184,8 @@ def contaminate(
     out = pi.copy()
     out[cell - 1] = mass
     total = out.sum()
-    assert np.all(out >= 0.0) and total > 0.0
+    if np.any(out < 0.0) or not total > 0.0:
+        raise DataError("pi must be non-negative with positive total mass")
     return out / total
 
 
@@ -226,7 +227,7 @@ def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
                     result, spec.plan, spec.x0, "reliability", spec.t_eval
                 )
                 mean = characteristic_ci(result, spec.plan, spec.x0, "mean")
-                test = wald_statistic(result, spec.plan, constraint)
+                test = wald_statistic(result, constraint)
         except StepStressError:
             continue
         theta = result.params.as_array()

@@ -363,18 +363,14 @@ class TestCriterion05Led:
 
 
 class TestCriterion06SolarTests:
-    def test_exponentiality_not_rejected(self, solar, solar_mle):
+    def test_exponentiality_not_rejected(self, solar_mle):
         result, _ = solar_mle
-        test = wald_statistic(
-            result, solar.plan, linear_constraint([0.0, 0.0, 1.0], 1.0)
-        )
+        test = wald_statistic(result, linear_constraint([0.0, 0.0, 1.0], 1.0))
         assert not test.reject_at(0.05)
 
-    def test_zero_slope_rejected(self, solar, solar_mle):
+    def test_zero_slope_rejected(self, solar_mle):
         result, _ = solar_mle
-        test = wald_statistic(
-            result, solar.plan, linear_constraint([0.0, 1.0, 0.0], 0.0)
-        )
+        test = wald_statistic(result, linear_constraint([0.0, 1.0, 0.0], 0.0))
         assert test.reject_at(0.05)
 
 

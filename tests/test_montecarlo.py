@@ -81,6 +81,12 @@ class TestContaminate:
         with pytest.raises(DataError, match="cells"):
             contaminate(CLEAN_PI[:-1], SIM_THETA, SIM_PLAN, 3)
 
+    def test_negative_entry_rejected(self):
+        pi = CLEAN_PI.copy()
+        pi[0] = -0.01
+        with pytest.raises(DataError, match="non-negative"):
+            contaminate(pi, SIM_THETA, SIM_PLAN, 3)
+
 
 class TestSimulateCounts:
     def test_counts_form_interval_data(self):

@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from stepstress.datasets import load_dataset
 from stepstress.errors import NumericError
 from stepstress.estimation import FitConfig, fit, fit_proportions
-from stepstress.model import ModelParams, cell_probabilities
+from stepstress.model import IntervalData, ModelParams, cell_probabilities
 from stepstress.wald import (
     Constraint,
     TestResult,
@@ -28,7 +28,7 @@ ZERO_SLOPE = linear_constraint([0.0, 1.0, 0.0], 0.0)
 @pytest.fixture(scope="module")
 def solar():
     b = load_dataset("solar")
-    return fit(b.plan, b.data, FitConfig(beta=0.0)), b.plan
+    return fit(b.plan, b.data, FitConfig(beta=0.0))
 
 
 def _mc_trials(theta, reps, seed, n_devices=200):
@@ -42,7 +42,7 @@ def _mc_trials(theta, reps, seed, n_devices=200):
         if np.count_nonzero(counts) < 2:
             continue
         res = fit_proportions(SIM_PLAN, counts / n_devices, n_devices, cfg)
-        results.append(wald_statistic(res, SIM_PLAN, NULL_SLOPE))
+        results.append(wald_statistic(res, NULL_SLOPE))
     return results
 
 
@@ -53,16 +53,16 @@ def null_trials():
 
 class TestWaldStatistic:
     def test_zero_at_a_null_point(self, solar):
-        result, plan = solar
+        result = solar
         # constrain the slope to exactly its estimate: m(theta_hat) = 0
         pinned = linear_constraint([0.0, 1.0, 0.0], result.params.a1)
-        out = wald_statistic(result, plan, pinned)
+        out = wald_statistic(result, pinned)
         assert out.statistic == pytest.approx(0.0, abs=1e-18)
         assert out.p_value == pytest.approx(1.0)
 
     def test_solar_unit_shape_not_rejected(self, solar):
-        result, plan = solar
-        out = wald_statistic(result, plan, UNIT_SHAPE)
+        result = solar
+        out = wald_statistic(result, UNIT_SHAPE)
         assert out.statistic == pytest.approx(1.9000, abs=2e-3)
         assert out.p_value == pytest.approx(0.1681, abs=2e-3)
         assert out.df == 1
@@ -70,25 +70,23 @@ class TestWaldStatistic:
         assert out.reject_at(0.20)
 
     def test_solar_zero_slope_rejected(self, solar):
-        result, plan = solar
-        out = wald_statistic(result, plan, ZERO_SLOPE)
+        result = solar
+        out = wald_statistic(result, ZERO_SLOPE)
         assert out.statistic == pytest.approx(21.445, abs=5e-3)
         assert out.p_value < 1e-4
         assert out.reject_at(0.05)
         assert out.reject_at(0.01)
 
     def test_invariant_under_constraint_rescaling(self, solar):
-        result, plan = solar
-        base = wald_statistic(result, plan, UNIT_SHAPE)
-        scaled = wald_statistic(
-            result, plan, linear_constraint([0.0, 0.0, -7.0], -7.0)
-        )
+        result = solar
+        base = wald_statistic(result, UNIT_SHAPE)
+        scaled = wald_statistic(result, linear_constraint([0.0, 0.0, -7.0], -7.0))
         assert abs(base.statistic - scaled.statistic) < 1e-10
 
     def test_two_component_constraint(self, solar):
-        result, plan = solar
+        result = solar
         joint = linear_constraint([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 1.0])
-        out = wald_statistic(result, plan, joint)
+        out = wald_statistic(result, joint)
         assert out.df == 2
         assert out.statistic > 0.0
         assert 0.0 <= out.p_value <= 1.0
@@ -97,26 +95,38 @@ class TestWaldStatistic:
             [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             [result.params.a1, result.params.eta],
         )
-        assert wald_statistic(result, plan, pinned).statistic == pytest.approx(
+        assert wald_statistic(result, pinned).statistic == pytest.approx(
             0.0, abs=1e-18
         )
 
     def test_rank_deficient_jacobian_rejected(self, solar):
-        result, plan = solar
+        result = solar
         degenerate = Constraint(
             m=lambda p: np.array([p.a1]),
             jacobian=lambda p: np.zeros((3, 1)),
             r=1,
         )
         with pytest.raises(NumericError, match="rank"):
-            wald_statistic(result, plan, degenerate)
+            wald_statistic(result, degenerate)
 
     def test_non_converged_fit_rejected(self, solar):
-        result, plan = solar
+        result = solar
         from dataclasses import replace
 
         with pytest.raises(ValueError, match="converge"):
-            wald_statistic(replace(result, converged=False), plan, UNIT_SHAPE)
+            wald_statistic(replace(result, converged=False), UNIT_SHAPE)
+
+    def test_ill_conditioned_fit_uses_its_own_covariance(self):
+        # every survivor of the first level fails in the first interval
+        # after the stress change, so a1 can fall further at no cost: J is
+        # pseudo-inverted, and the test must read the intervals' covariance
+        plan = load_dataset("solar").plan
+        data = IntervalData([14, 11, 8, 6, 0, 0, 0], 39)
+        result = fit(plan, data, FitConfig(beta=0.0))
+        assert result.converged and result.ill_conditioned
+        out = wald_statistic(result, ZERO_SLOPE)
+        expected = 39 * result.params.a1**2 / result.covariance[1, 1]
+        assert out.statistic == pytest.approx(expected, rel=1e-8)
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ precision. The numbers are identical across formats — only the
 formatting differs.
 
 Exit codes: 0 success, 2 bad arguments or flag values, 3 data problems,
-4 convergence failures, 5 numerical failures.
+4 convergence failures, 5 numerical failures (including an ill-conditioned
+fit, whose intervals and tests are refused).
 """
 
 from __future__ import annotations
@@ -243,9 +244,10 @@ def cmd_ci(args) -> int:
     for i, name in enumerate(("a0", "a1", "eta")):
         rows.append([theta[i], ses[i], cis[i, 0], cis[i, 1], np.nan, np.nan])
         labels.append(name)
+    reliability_label = None if args.t is None else f"reliability(t={args.t:g})"
     for kind, extra, label in (
         ("mean", None, "mean"),
-        ("reliability", args.t, f"reliability(t={args.t:g})" if args.t else None),
+        ("reliability", args.t, reliability_label),
         ("quantile", args.qrel, f"quantile(level={args.qrel:g})"),
     ):
         if label is None:
@@ -273,7 +275,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_test(args) -> int:
-    bundle, _ = _load(args)
+    bundle = load_dataset(args.data)
     constraint = _parse_constraint(args.constraint)
     result = _fit_one(bundle, args.beta)
     test = wald_statistic(result, constraint)
@@ -310,7 +312,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    bundle, _ = _load(args)
+    bundle = load_dataset(args.data)
     config = TuningConfig(
         epsilon=args.epsilon,
         max_rounds=args.max_rounds,
@@ -340,7 +342,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    bundle, _ = _load(args)
+    bundle = load_dataset(args.data)
     result = _fit_one(bundle, args.beta)
     constraint = _parse_constraint(args.constraint) if args.constraint else None
     n_cells = bundle.plan.n_cells
@@ -562,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--x0", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_test)
 
     p = subs.add_parser("tune", help="select beta by iterated mean-squared-error tuning")
@@ -570,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="", help="comma-separated beta grid")
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--max-rounds", type=int, default=20)
-    p.add_argument("--x0", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_tune)
 
     p = subs.add_parser("influence", help="per-cell influence of the fitted estimator")
@@ -583,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="optional 'c0,c1,c2,d' to add the second-order Wald influence column",
     )
-    p.add_argument("--x0", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_influence)
 
     p = subs.add_parser("simulate", help="run a simulation scenario; emits CSV")

@@ -96,10 +96,6 @@ class RawLifetimeData:
         object.__setattr__(self, "failure_times", times)
         object.__setattr__(self, "n_total", int(self.n_total))
 
-    @property
-    def n_survivors(self) -> int:
-        return self.n_total - len(self.failure_times)
-
 
 @dataclass(frozen=True)
 class NormalizationMap:
@@ -183,28 +179,6 @@ def bin_failures(raw: RawLifetimeData, inspection_times) -> IntervalData:
     counts = np.bincount(idx, minlength=len(t))
     survivors = raw.n_total - int(counts.sum())
     return IntervalData(np.append(counts, survivors), raw.n_total)
-
-
-def normalize_stress(plan_raw: StressPlan, x0_physical: float):
-    """Min-max normalize a physical-stress plan; returns (plan, x0).
-
-    The lowest tested level maps to 0 and the highest to 1; the use
-    stress is pushed through the same affine map and may land outside
-    [0, 1] when it was not a tested level.
-    """
-    levels = np.asarray(plan_raw.stress_levels, dtype=float)
-    if len(np.unique(levels)) < 2:
-        raise DataError("at least two distinct stress levels are required")
-    mapping = NormalizationMap(float(levels.min()), float(levels.max()))
-    plan = StressPlan(
-        mapping(levels), plan_raw.change_times, plan_raw.inspection_times
-    )
-    return plan, mapping(float(x0_physical))
-
-
-def available_datasets() -> tuple[str, ...]:
-    """Names accepted by :func:`load_dataset` for the bundled data."""
-    return BUNDLED_DATASETS
 
 
 def load_dataset(name_or_path: str | Path) -> DatasetBundle:
@@ -293,14 +267,19 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
 
     convention = header["normalization"]
     if convention == "minmax":
-        mapping = NormalizationMap(float(levels.min()), float(levels.max()))
+        x_min, x_max = float(levels.min()), float(levels.max())
+        needs = "at least two distinct stress levels"
     elif convention == "use-anchored":
-        mapping = NormalizationMap(use_stress, float(levels.min()))
+        x_min, x_max = use_stress, float(levels.min())
+        needs = "a use_stress below the lowest stress level"
     else:
         raise DataError(
             f"{origin}: normalization must be 'minmax' or 'use-anchored', "
             f"got {convention!r}"
         )
+    if not x_max > x_min:
+        raise DataError(f"{origin}: {convention} normalization needs {needs}")
+    mapping = NormalizationMap(x_min, x_max)
     plan = StressPlan(mapping(levels), change_times, inspection_times)
 
     used_values = []

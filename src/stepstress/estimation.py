@@ -47,6 +47,13 @@ PROBABILITY_FLOOR = 1e-12
 
 _INFEASIBLE = 1e12
 
+# Solver settings: iteration cap per optimizer start, estimating-equation
+# norm below which a fit counts as converged, and step tolerance of the
+# final root polish.
+_MAX_ITERS = 500
+_GRAD_TOL = 1e-8
+_PARAM_TOL = 1e-10
+
 # Above this condition number the J matrix is pseudo-inverted and the fit
 # flagged ill-conditioned.
 CONDITION_LIMIT = 1e12
@@ -63,27 +70,18 @@ class FitConfig:
 
     Attributes:
         beta: tuning parameter; 0 gives the MLE.
-        max_iters: iteration cap per optimizer start.
-        grad_tol: estimating-equation norm below which the fit counts as
-            converged.
-        param_tol: step tolerance of the final root polish.
         multistart: number of starting points (first is the data-driven
             pilot, the rest are deterministic perturbations of it).
     """
 
     beta: float = 0.0
-    max_iters: int = 500
-    grad_tol: float = 1e-8
-    param_tol: float = 1e-10
     multistart: int = 5
 
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if self.grad_tol <= 0 or self.param_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters <= 0 or self.multistart <= 0:
-            raise ValueError("max_iters and multistart must be positive")
+        if self.multistart <= 0:
+            raise ValueError("multistart must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,10 @@ class FitResult:
     covariance is the per-observation sandwich J^-1 K J^-1 evaluated at the
     estimate; divide by n_devices for the variance of theta_hat.
     ill_conditioned is set when the J matrix had to be pseudo-inverted
-    (condition number beyond CONDITION_LIMIT), which also flags
-    untrustworthy, very wide intervals downstream.
+    (condition number beyond CONDITION_LIMIT). The pseudo-inverse gives the
+    unidentified direction zero variance, so intervals and tests from such
+    a fit would be falsely sharp; param_ci, characteristic_ci and
+    wald_statistic refuse it with NumericError.
     """
 
     params: ModelParams
@@ -165,9 +165,16 @@ def estimating_residual(
     factor -(beta + 1).
     """
     data.validate_against(plan)
+    return _cells_and_residual(params, plan, data.proportions, beta)[1]
+
+
+def _cells_and_residual(
+    params: ModelParams, plan: StressPlan, p_hat: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floored cell probabilities pi and the residual W' D_pi^(beta-1) (p_hat - pi)."""
     pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
     w = gradient_matrix(params, plan)
-    return w.T @ (pi ** (beta - 1.0) * (data.proportions - pi))
+    return pi, w.T @ (pi ** (beta - 1.0) * (p_hat - pi))
 
 
 def sandwich_matrices(
@@ -278,6 +285,8 @@ def fit_proportions(
         raise ValueError(f"p_hat must have length {plan.n_cells}")
     if np.any(p_hat < 0) or abs(p_hat.sum() - 1.0) > 1e-9:
         raise ValueError("p_hat must be a probability vector")
+    if n_devices <= 0:
+        raise ValueError("n_devices must be positive")
     beta = config.beta
 
     def unpack(u: np.ndarray) -> ModelParams:
@@ -287,11 +296,9 @@ def fit_proportions(
         with np.errstate(all="ignore"):
             try:
                 params = unpack(u)
-                pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-                w = gradient_matrix(params, plan)
+                pi, residual = _cells_and_residual(params, plan, p_hat, beta)
             except NumericError:
                 return _INFEASIBLE, np.zeros(3)
-            residual = w.T @ (pi ** (beta - 1.0) * (p_hat - pi))
             grad = -(beta + 1.0) * residual
             grad[2] *= params.eta  # chain rule for the log-eta coordinate
             value = dpd_loss(p_hat, pi, beta)
@@ -303,11 +310,9 @@ def fit_proportions(
         with np.errstate(all="ignore"):
             try:
                 params = unpack(u)
-                pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-                w = gradient_matrix(params, plan)
+                res = _cells_and_residual(params, plan, p_hat, beta)[1]
             except NumericError:
                 return np.full(3, 1e6)
-            res = w.T @ (pi ** (beta - 1.0) * (p_hat - pi))
             res[2] *= params.eta
         if not np.all(np.isfinite(res)):
             return np.full(3, 1e6)
@@ -321,7 +326,7 @@ def fit_proportions(
                 jac=True,
                 method="L-BFGS-B",
                 options={
-                    "maxiter": config.max_iters,
+                    "maxiter": _MAX_ITERS,
                     "ftol": 1e-14,
                     "gtol": 1e-10,
                     "maxls": 60,
@@ -334,7 +339,7 @@ def fit_proportions(
         # polish by solving the estimating equations from the minimizer
         try:
             root = optimize.root(
-                residual_u, u, method="hybr", options={"xtol": config.param_tol}
+                residual_u, u, method="hybr", options={"xtol": _PARAM_TOL}
             )
             if root.success and np.linalg.norm(root.x - u) < 1.0:
                 polished_value = value_and_grad(root.x)[0]
@@ -365,14 +370,9 @@ def fit_proportions(
         raise NumericError("all optimizer starts were infeasible")
 
     params = ModelParams(best_u[0], best_u[1], float(np.exp(best_u[2])))
-    grad_norm = float(
-        np.linalg.norm(
-            estimating_residual(
-                params, plan, IntervalData(p_hat * n_devices, n_devices), beta
-            )
-        )
-    )
-    converged = grad_norm <= config.grad_tol
+    residual = _cells_and_residual(params, plan, p_hat, beta)[1]
+    grad_norm = float(np.linalg.norm(residual))
+    converged = grad_norm <= _GRAD_TOL
 
     j, k = sandwich_matrices(params, plan, beta)
     j_inv, ill_conditioned = invert_information(j)

@@ -89,16 +89,15 @@ def wald_quadratic_form(
     constraint: Constraint,
     n_devices: int = 1,
 ) -> float:
-    """Evaluate 2N (M'v)' (M' Sigma M)^{-1} (M'v) at v = if_vector.
+    """Evaluate 2N (Cv)' (C Sigma C')^{-1} (Cv) at v = if_vector.
 
     This is the second-order influence of the Wald-type statistic seen as
     a function of the estimator's influence vector; it is a positive
     semi-definite quadratic form.
     """
     v = np.asarray(if_vector, dtype=float).reshape(3)
-    sigma = _sigma_at(params, plan, beta)
-    big_m, inner = _inner_matrix(constraint, params, sigma)
-    proj = big_m.T @ v
+    inner = _inner_matrix(constraint, _sigma_at(params, plan, beta))
+    proj = constraint.coefficients @ v
     return max(2.0 * n_devices * float(proj @ _solve_inner(inner, proj)), 0.0)
 
 
@@ -125,16 +124,16 @@ def if_wald_first_order(
     cell: int,
     n_devices: int = 1,
 ) -> float:
-    """First-order IF of the Wald statistic, 2N m'(...)^{-1} M' IF.
+    """First-order IF of the Wald statistic, 2N m' (C Sigma C')^{-1} C IF.
 
     Identically zero when ``params`` satisfies the null, which is why the
     second-order form in :func:`if_wald` carries the robustness analysis.
     """
     vector = if_mdpde(params, plan, beta, cell)
     m_val = constraint.value(params)
-    sigma = _sigma_at(params, plan, beta)
-    big_m, inner = _inner_matrix(constraint, params, sigma)
-    return 2.0 * n_devices * float(m_val @ _solve_inner(inner, big_m.T @ vector))
+    inner = _inner_matrix(constraint, _sigma_at(params, plan, beta))
+    proj = constraint.coefficients @ vector
+    return 2.0 * n_devices * float(m_val @ _solve_inner(inner, proj))
 
 
 def influence_report(

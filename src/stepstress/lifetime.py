@@ -121,6 +121,16 @@ def _point_value(params, x0, kind, extra):
     raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
 
 
+def _check_fit(fit: FitResult) -> None:
+    if not fit.converged:
+        raise ValueError("cannot build intervals from a non-converged fit")
+    if fit.ill_conditioned:
+        raise NumericError(
+            "cannot build intervals from an ill-conditioned fit: the "
+            "parameters are not identified by these data"
+        )
+
+
 def _check_extrapolation(plan: StressPlan | None, x0: float) -> None:
     if plan is None:
         return
@@ -150,8 +160,7 @@ def characteristic_ci(
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
-    if not fit.converged:
-        raise ValueError("cannot build intervals from a non-converged fit")
+    _check_fit(fit)
     _check_extrapolation(plan, x0)
 
     params = fit.params
@@ -188,8 +197,7 @@ def param_ci(fit: FitResult, confidence: float = 0.95) -> np.ndarray:
     """Direct CIs for (a0, a1, eta) as a (3, 2) array of (lo, hi) rows."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
-    if not fit.converged:
-        raise ValueError("cannot build intervals from a non-converged fit")
+    _check_fit(fit)
     z = ndtri(0.5 + confidence / 2.0)
     center = fit.params.as_array()
     half = z * fit.standard_errors

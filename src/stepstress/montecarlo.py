@@ -27,6 +27,7 @@ from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -128,8 +129,8 @@ class ScenarioSpec:
 class MetricsTable:
     """Per-beta metric rows in the fixed METRIC_COLUMNS order."""
 
-    columns: tuple = field(default=METRIC_COLUMNS)
-    rows: np.ndarray = field(default=None, repr=False)
+    columns: ClassVar[tuple] = METRIC_COLUMNS
+    rows: np.ndarray = field(repr=False)
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -207,8 +208,7 @@ _REJ = 14
 def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
     """Fit every beta on one replication; one _REP_COLS block per beta."""
     rng = np.random.default_rng([spec.seed, rep])
-    counts = rng.multinomial(spec.n_devices, pi_gen)
-    p_hat = counts / spec.n_devices
+    p_hat = simulate_counts(pi_gen, spec.n_devices, rng).proportions
     constraint = linear_constraint([0.0, 1.0, 0.0], spec.null_slope)
     out = np.zeros((len(spec.beta_grid), _REP_COLS))
     for b, beta in enumerate(spec.beta_grid):

@@ -1,22 +1,21 @@
 """Wald-type tests on the fitted parameters, with power approximations.
 
-A composite null hypothesis is expressed as ``m(theta) = 0`` for a smooth
-constraint function m with values in R^r (r = 1 or 2). The test statistic
+A composite null hypothesis is a set of linear constraints C theta = d,
+with C an r x 3 matrix of full row rank (r = 1 or 2). The test statistic
 
-    W_N = N * m(th)' [M(th)' Sigma(th) M(th)]^{-1} m(th),
+    W_N = N * (C th - d)' [C Sigma(th) C']^{-1} (C th - d),
 
-with M = dm'/dtheta and Sigma the sandwich covariance of the estimator,
-is asymptotically chi-squared with r degrees of freedom under the null.
-Beyond the test itself, two power approximations are provided: a
-fixed-alternative normal approximation, and the noncentral chi-squared
-limit under local (contiguous) alternatives theta_0 + d/sqrt(N).
+with Sigma the sandwich covariance of the estimator, is asymptotically
+chi-squared with r degrees of freedom under the null. Beyond the test
+itself, two power approximations are provided: a fixed-alternative normal
+approximation, and the noncentral chi-squared limit under local
+(contiguous) alternatives theta_0 + d/sqrt(N).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import chdtr, chdtri, chndtr, ndtr
@@ -31,35 +30,22 @@ _RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Constraint:
-    """A null hypothesis m(theta) = 0 with its analytic Jacobian.
+    """A null hypothesis C theta = d; build it with :func:`linear_constraint`.
 
-    ``jacobian`` returns the 3 x r matrix M(theta) = dm'(theta)/dtheta,
-    one column per constraint component.
+    ``coefficients`` is the r x 3 matrix C, of full row rank r in {1, 2};
+    ``d`` holds the r right-hand sides.
     """
 
-    m: Callable[[ModelParams], np.ndarray]
-    jacobian: Callable[[ModelParams], np.ndarray]
-    r: int
+    coefficients: np.ndarray
+    d: np.ndarray
 
-    def __post_init__(self):
-        if self.r not in (1, 2):
-            raise ValueError("constraints must have 1 or 2 components")
+    @property
+    def r(self) -> int:
+        return self.coefficients.shape[0]
 
     def value(self, params: ModelParams) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.m(params), dtype=float))
-        if out.shape != (self.r,):
-            raise ValueError(
-                f"constraint returned shape {out.shape}, expected ({self.r},)"
-            )
-        return out
-
-    def jac(self, params: ModelParams) -> np.ndarray:
-        out = np.asarray(self.jacobian(params), dtype=float)
-        if out.shape != (3, self.r):
-            raise ValueError(
-                f"constraint Jacobian has shape {out.shape}, expected (3, {self.r})"
-            )
-        return out
+        """The constraint residual C theta - d."""
+        return self.coefficients @ params.as_array() - self.d
 
 
 @dataclass(frozen=True)
@@ -78,20 +64,21 @@ class TestResult:
 
 
 def linear_constraint(coefficients, d=0.0) -> Constraint:
-    """Constraint C theta = d, i.e. m(theta) = C theta - d.
+    """Constraint C theta = d.
 
     ``coefficients`` is a 3-vector (one linear constraint) or an (r, 3)
-    array with r in {1, 2}; ``d`` broadcasts to r values.
+    array with r in {1, 2}; ``d`` broadcasts to r values. A C without full
+    row rank raises NumericError: the test would be undefined.
     """
-    c = np.atleast_2d(np.asarray(coefficients, dtype=float))
-    if c.shape[1] != 3 or c.shape[0] not in (1, 2):
+    c = np.array(coefficients, dtype=float, ndmin=2)
+    if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] not in (1, 2):
         raise ValueError("coefficients must be a 3-vector or an (r, 3) array, r <= 2")
+    singular_values = np.linalg.svd(c, compute_uv=False)
+    smin, smax = singular_values.min(), singular_values.max()
+    if smax == 0.0 or smin < _RANK_RTOL * smax:
+        raise NumericError("constraint coefficients are rank deficient")
     rhs = np.broadcast_to(np.asarray(d, dtype=float), (c.shape[0],)).copy()
-    return Constraint(
-        m=lambda params: c @ params.as_array() - rhs,
-        jacobian=lambda params: c.T,
-        r=c.shape[0],
-    )
+    return Constraint(coefficients=c, d=rhs)
 
 
 def _sigma_at(params: ModelParams, plan: StressPlan, beta: float) -> np.ndarray:
@@ -101,15 +88,10 @@ def _sigma_at(params: ModelParams, plan: StressPlan, beta: float) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def _inner_matrix(constraint, params, sigma):
-    big_m = constraint.jac(params)
-    singular_values = np.linalg.svd(big_m, compute_uv=False)
-    smin, smax = singular_values.min(), singular_values.max()
-    if smax == 0.0 or smin < _RANK_RTOL * smax:
-        raise NumericError(
-            "constraint Jacobian is rank deficient at the evaluation point"
-        )
-    return big_m, big_m.T @ sigma @ big_m
+def _inner_matrix(constraint: Constraint, sigma: np.ndarray) -> np.ndarray:
+    """C Sigma C', the covariance of the constraint residual."""
+    c = constraint.coefficients
+    return c @ sigma @ c.T
 
 
 def _solve_inner(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -129,15 +111,22 @@ def _solve_inner(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def wald_statistic(fit: FitResult, constraint: Constraint) -> TestResult:
-    """Test m(theta) = 0 against the fitted parameters.
+    """Test C theta = d against the fitted parameters.
 
     Sigma is the fit's own covariance, so the test and the intervals agree.
+    An ill-conditioned fit is refused: its pseudo-inverted covariance gives
+    the unidentified direction zero variance, which would make the
+    statistic arbitrarily large.
     """
     if not fit.converged:
         raise ValueError("cannot test hypotheses on a non-converged fit")
-    params = fit.params
-    m_val = constraint.value(params)
-    _, inner = _inner_matrix(constraint, params, fit.covariance)
+    if fit.ill_conditioned:
+        raise NumericError(
+            "cannot test hypotheses on an ill-conditioned fit: the "
+            "parameters are not identified by these data"
+        )
+    m_val = constraint.value(fit.params)
+    inner = _inner_matrix(constraint, fit.covariance)
     statistic = float(fit.n_devices * m_val @ _solve_inner(inner, m_val))
     statistic = max(statistic, 0.0)
     p_value = 1.0 - chdtr(constraint.r, statistic)
@@ -146,11 +135,6 @@ def wald_statistic(fit: FitResult, constraint: Constraint) -> TestResult:
         df=constraint.r,
         p_value=float(min(max(p_value, 0.0), 1.0)),
     )
-
-
-def _ell(constraint, params, inner):
-    m_val = constraint.value(params)
-    return float(m_val @ _solve_inner(inner, m_val))
 
 
 def asymptotic_power(
@@ -163,7 +147,10 @@ def asymptotic_power(
 ) -> float:
     """Normal approximation to the rejection probability at a fixed theta*.
 
-    Valid for alternatives off the null: m(theta*) must be nonzero.
+    Valid for alternatives off the null: C theta* - d must be nonzero. The
+    statistic over N, l(theta) = m' A^{-1} m with m = C theta - d and
+    A = C Sigma(theta*) C' held fixed, is approximately normal with
+    gradient 2 C' A^{-1} m.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
@@ -176,20 +163,9 @@ def asymptotic_power(
             "approximation is undefined there"
         )
     sigma = _sigma_at(theta_star, plan, beta)
-    _, inner = _inner_matrix(constraint, theta_star, sigma)
-
-    ell_star = _ell(constraint, theta_star, inner)
-    base = theta_star.as_array()
-    grad = np.zeros(3)
-    for i in range(3):
-        step = 1e-6 * (1.0 + abs(base[i]))
-        up, dn = base.copy(), base.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (
-            _ell(constraint, ModelParams(*up), inner)
-            - _ell(constraint, ModelParams(*dn), inner)
-        ) / (2.0 * step)
+    weighted = _solve_inner(_inner_matrix(constraint, sigma), m_star)
+    ell_star = float(m_star @ weighted)
+    grad = 2.0 * constraint.coefficients.T @ weighted
     scale = float(np.sqrt(max(grad @ sigma @ grad, 0.0)))
     threshold = chdtri(constraint.r, alpha) / n_devices
     if scale == 0.0:
@@ -212,7 +188,7 @@ def contiguous_power(
 
     Exactly one of ``d`` (a shift direction in parameter space, 3-vector)
     or ``delta`` (a shift of the constraint value, r-vector) must be given;
-    they agree when delta = M(theta0)' d.
+    they agree when delta = C d.
     """
     if (d is None) == (delta is None):
         raise ValueError("give exactly one of d or delta")
@@ -220,10 +196,9 @@ def contiguous_power(
         raise ValueError("alpha must lie strictly in (0, 1)")
     if np.linalg.norm(constraint.value(theta0)) > 1e-8:
         raise ValueError("theta0 must satisfy the null hypothesis")
-    sigma = _sigma_at(theta0, plan, beta)
-    big_m, inner = _inner_matrix(constraint, theta0, sigma)
+    inner = _inner_matrix(constraint, _sigma_at(theta0, plan, beta))
     if d is not None:
-        shift = big_m.T @ np.asarray(d, dtype=float).reshape(3)
+        shift = constraint.coefficients @ np.asarray(d, dtype=float).reshape(3)
     else:
         shift = np.asarray(delta, dtype=float).reshape(constraint.r)
     ncp = float(shift @ _solve_inner(inner, shift))

@@ -432,6 +432,57 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_USAGE
 
+    def test_zero_mission_time_is_usage_error(self, capsys):
+        code, out = run_cli(capsys, "ci", "--data", "solar", "--t", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("test", "--data", "solar", "--constraint", "0,0,1,1"),
+            ("tune", "--data", "solar"),
+            ("influence", "--data", "solar"),
+        ],
+    )
+    def test_x0_only_on_fit_and_ci(self, capsys, argv):
+        code = main([*argv, "--x0", "1"])
+        capsys.readouterr()
+        assert code == EXIT_USAGE
+
+    def test_degenerate_stress_normalization_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "one_level.txt"
+        path.write_text(
+            "# name: one_level\n# kind: counts\n# n_total: 3\n# time_unit: h\n"
+            "# stress_unit: K\n# stress_levels: 300\n# change_times: 10\n"
+            "# inspection_times: 5 10\n# use_stress: 300\n"
+            "# normalization: minmax\n# analysis: as-recorded\n1\n1\n1\n"
+        )
+        code = main(["fit", "--data", str(path), "--beta", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert str(path) in err
+
+    def test_ill_conditioned_fit_is_numeric_failure(self, capsys, tmp_path):
+        # the solar design with every first-level survivor failing in the
+        # first interval after the stress change: a1 is not identified
+        path = tmp_path / "flat_slope.txt"
+        path.write_text(
+            "# name: flat_slope\n# kind: counts\n# n_total: 39\n"
+            "# time_unit: 100 h\n# stress_unit: K\n# stress_levels: 293 353\n"
+            "# change_times: 5 6\n# inspection_times: 1.5 3 5 5.2 5.4 6\n"
+            "# use_stress: 293\n# normalization: minmax\n"
+            "# analysis: as-recorded\n14\n11\n8\n6\n0\n0\n0\n"
+        )
+        for argv in (
+            ("ci", "--data", str(path)),
+            ("test", "--data", str(path), "--constraint", "0,1,0,0"),
+        ):
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code == EXIT_NUMERIC
+            assert "ill-conditioned" in err
+
     def test_help_exits_zero(self, capsys):
         code = main(["--help"])
         capsys.readouterr()

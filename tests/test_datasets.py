@@ -7,10 +7,8 @@ from stepstress.datasets import (
     DatasetBundle,
     NormalizationMap,
     RawLifetimeData,
-    available_datasets,
     bin_failures,
     load_dataset,
-    normalize_stress,
 )
 from stepstress.errors import CensoringWarning, DataError
 from stepstress.estimation import FitConfig, fit
@@ -68,33 +66,60 @@ class TestBinFailures:
             bin_failures(_raw([1.0], 2), [3.0, 1.0])
 
 
+def _stress_file(tmp_path, plan_raw, use_stress, normalization="minmax"):
+    """A counts dataset file on a physical-stress plan, one device per cell."""
+    def listed(values):
+        return " ".join(map(str, values))
+
+    path = tmp_path / "design.txt"
+    path.write_text(
+        "# name: design\n# kind: counts\n"
+        f"# n_total: {plan_raw.n_cells}\n# time_unit: h\n# stress_unit: K\n"
+        f"# stress_levels: {listed(plan_raw.stress_levels)}\n"
+        f"# change_times: {listed(plan_raw.change_times)}\n"
+        f"# inspection_times: {listed(plan_raw.inspection_times)}\n"
+        f"# use_stress: {use_stress}\n# normalization: {normalization}\n"
+        "# analysis: as-recorded\n" + "1\n" * plan_raw.n_cells
+    )
+    return path
+
+
 class TestNormalizeStress:
-    def test_minmax_endpoints(self):
-        plan, x0 = normalize_stress(SOLAR_RAW_PLAN, 293.0)
-        np.testing.assert_allclose(plan.stress_levels, [0.0, 1.0])
-        assert x0 == 0.0
+    def _solar_design(self, tmp_path, use_stress):
+        return load_dataset(_stress_file(tmp_path, SOLAR_RAW_PLAN, use_stress))
 
-    def test_use_stress_equal_to_max_maps_to_one(self):
-        _, x0 = normalize_stress(SOLAR_RAW_PLAN, 353.0)
-        assert x0 == pytest.approx(1.0)
+    def test_minmax_endpoints(self, tmp_path):
+        b = self._solar_design(tmp_path, 293.0)
+        np.testing.assert_allclose(b.plan.stress_levels, [0.0, 1.0])
+        assert b.x0 == 0.0
 
-    def test_x0_outside_tested_range(self):
-        _, x0 = normalize_stress(SOLAR_RAW_PLAN, 273.0)
-        assert x0 == pytest.approx(-1.0 / 3.0)
+    def test_use_stress_equal_to_max_maps_to_one(self, tmp_path):
+        assert self._solar_design(tmp_path, 353.0).x0 == pytest.approx(1.0)
 
-    def test_preserves_affine_structure(self):
+    def test_x0_outside_tested_range(self, tmp_path):
+        assert self._solar_design(tmp_path, 273.0).x0 == pytest.approx(-1.0 / 3.0)
+
+    def test_preserves_affine_structure(self, tmp_path):
         temps = np.array([363.0, 413.0, 433.0, 448.0])
         plan_raw = StressPlan(temps, [300, 500, 600, 720], [300, 500, 600, 720])
-        plan, _ = normalize_stress(plan_raw, 323.15)
+        b = load_dataset(_stress_file(tmp_path, plan_raw, 323.15))
         phys = np.diff(temps)
-        norm = np.diff(plan.stress_levels)
+        norm = np.diff(b.plan.stress_levels)
         ratios = norm / phys
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
-    def test_single_level_rejected(self):
+    def test_single_level_rejected(self, tmp_path):
         plan_raw = StressPlan([300.0], [10.0], [5.0, 10.0])
-        with pytest.raises(DataError, match="two distinct"):
-            normalize_stress(plan_raw, 293.0)
+        path = _stress_file(tmp_path, plan_raw, 293.0)
+        with pytest.raises(DataError, match="two distinct") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+
+    def test_use_stress_at_lowest_level_rejected_when_use_anchored(self, tmp_path):
+        path = _stress_file(tmp_path, SOLAR_RAW_PLAN, 293.0, "use-anchored")
+        with pytest.raises(DataError, match="use_stress below") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
 
 
 class TestNormalizationMap:
@@ -117,9 +142,6 @@ class TestNormalizationMap:
 
 
 class TestBundledDatasets:
-    def test_listing(self):
-        assert available_datasets() == ("solar", "transistor", "led")
-
     @pytest.mark.parametrize("name", ["solar", "transistor", "led"])
     def test_loads_and_conserves_devices(self, name):
         b = load_dataset(name)

@@ -1,7 +1,7 @@
 """Tests for scenario simulation: contamination, metrics, scenario files."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -263,6 +263,7 @@ class TestRunScenario:
     def test_table_layout(self, small_table):
         spec, tab = small_table
         assert tab.columns == METRIC_COLUMNS
+        assert [f.name for f in fields(MetricsTable)] == ["rows"]
         assert tab.rows.shape == (2, len(METRIC_COLUMNS))
         np.testing.assert_array_equal(tab.column("beta"), [0.0, 1.0])
         used = tab.column("n_used") + tab.column("n_failed")

@@ -1,12 +1,15 @@
 """Tests for Wald-type hypothesis tests and power approximations."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest, norm
 
 from stepstress.datasets import load_dataset
 from stepstress.errors import NumericError
 from stepstress.estimation import FitConfig, fit, fit_proportions
+from stepstress.lifetime import characteristic_ci, param_ci
 from stepstress.model import IntervalData, ModelParams, cell_probabilities
 from stepstress.wald import (
     Constraint,
@@ -99,15 +102,11 @@ class TestWaldStatistic:
             0.0, abs=1e-18
         )
 
-    def test_rank_deficient_jacobian_rejected(self, solar):
-        result = solar
-        degenerate = Constraint(
-            m=lambda p: np.array([p.a1]),
-            jacobian=lambda p: np.zeros((3, 1)),
-            r=1,
-        )
+    def test_rank_deficient_jacobian_rejected(self):
         with pytest.raises(NumericError, match="rank"):
-            wald_statistic(result, degenerate)
+            linear_constraint([0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(NumericError, match="rank"):
+            linear_constraint([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]], [0.0, 0.0])
 
     def test_non_converged_fit_rejected(self, solar):
         result = solar
@@ -116,25 +115,32 @@ class TestWaldStatistic:
         with pytest.raises(ValueError, match="converge"):
             wald_statistic(replace(result, converged=False), UNIT_SHAPE)
 
-    def test_ill_conditioned_fit_uses_its_own_covariance(self):
+    def test_ill_conditioned_fit_refused(self):
         # every survivor of the first level fails in the first interval
         # after the stress change, so a1 can fall further at no cost: J is
-        # pseudo-inverted, and the test must read the intervals' covariance
+        # pseudo-inverted, a1 gets zero variance, and any interval or test
+        # built on that covariance would be falsely sharp
         plan = load_dataset("solar").plan
         data = IntervalData([14, 11, 8, 6, 0, 0, 0], 39)
         result = fit(plan, data, FitConfig(beta=0.0))
         assert result.converged and result.ill_conditioned
-        out = wald_statistic(result, ZERO_SLOPE)
-        expected = 39 * result.params.a1**2 / result.covariance[1, 1]
-        assert out.statistic == pytest.approx(expected, rel=1e-8)
+        assert result.standard_errors[1] < 1e-12
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            wald_statistic(result, ZERO_SLOPE)
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            param_ci(result)
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            characteristic_ci(result, plan, 0.0, "mean")
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             linear_constraint([1.0, 2.0])
         with pytest.raises(ValueError):
             linear_constraint(np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            Constraint(m=lambda p: p.a1, jacobian=lambda p: np.zeros((3, 1)), r=3)
+        joint = linear_constraint([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 1.0])
+        assert [f.name for f in fields(Constraint)] == ["coefficients", "d"]
+        assert joint.r == 2
+        np.testing.assert_array_equal(joint.value(SIM_THETA), [-0.05, 0.5])
 
     def test_reject_at_validates_alpha(self):
         out = TestResult(statistic=1.0, df=1, p_value=0.3)
@@ -214,6 +220,37 @@ class TestPowerApproximations:
         assert np.all(np.diff(powers) >= -1e-12)
         assert powers[-1] > 0.4
 
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("slope", [-0.06, -0.09])
+    def test_closed_form_gradient_matches_differences(self, beta, slope):
+        # the normal approximation's scale uses the gradient 2 C' A^-1 m of
+        # l(theta) = m' A^-1 m at fixed A; compare with central differences
+        from stepstress.wald import _inner_matrix, _sigma_at
+
+        theta = ModelParams(5.3, slope, 1.5)
+        inner = _inner_matrix(NULL_SLOPE, _sigma_at(theta, SIM_PLAN, beta))
+
+        def ell(u):
+            m = NULL_SLOPE.value(ModelParams(*u))
+            return float(m @ np.linalg.solve(inner, m))
+
+        base = theta.as_array()
+        numeric = np.zeros(3)
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = 1e-6 * (1.0 + abs(base[i]))
+            numeric[i] = (ell(base + step) - ell(base - step)) / (2.0 * step[i])
+        m = NULL_SLOPE.value(theta)
+        closed = 2.0 * NULL_SLOPE.coefficients.T @ np.linalg.solve(inner, m)
+        np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=0.0)
+        # and asymptotic_power is the normal approximation with that gradient
+        sigma = _sigma_at(theta, SIM_PLAN, beta)
+        scale = np.sqrt(numeric @ sigma @ numeric)
+        z_arg = np.sqrt(200.0) / scale * (chi2.ppf(0.95, 1) / 200.0 - ell(base))
+        expected = norm.sf(z_arg)
+        power = asymptotic_power(theta, SIM_PLAN, NULL_SLOPE, beta, 200, 0.05)
+        assert power == pytest.approx(expected, rel=1e-6)
+
     def test_rejects_null_theta(self):
         with pytest.raises(ValueError, match="null"):
             asymptotic_power(SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 200, 0.05)
@@ -236,10 +273,10 @@ class TestContiguousPower:
 
     def test_d_and_delta_forms_agree(self):
         d = np.array([0.3, -0.04, 0.5])
-        jac = NULL_SLOPE.jac(SIM_THETA)
         p_d = contiguous_power(SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 0.05, d=d)
         p_delta = contiguous_power(
-            SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 0.05, delta=jac.T @ d
+            SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 0.05,
+            delta=NULL_SLOPE.coefficients @ d,
         )
         assert p_d == pytest.approx(p_delta, abs=1e-12)
 
@@ -250,7 +287,7 @@ class TestContiguousPower:
         from stepstress.wald import _inner_matrix, _sigma_at
 
         sigma = _sigma_at(SIM_THETA, SIM_PLAN, 0.0)
-        _, inner = _inner_matrix(NULL_SLOPE, SIM_THETA, sigma)
+        inner = _inner_matrix(NULL_SLOPE, sigma)
         delta = np.sqrt(5.0 * float(inner[0, 0]))
         power = contiguous_power(
             SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 0.05, delta=[delta]

@@ -196,7 +196,8 @@ def cmd_fit(args) -> int:
 
     rows, labels = [], []
     for beta in betas:
-        result = _fit_one(bundle, beta)
+        # the tuned fit is converged and is the fit _fit_one would repeat
+        result = tuned.fit_opt if beta == optimal else _fit_one(bundle, beta)
         cis = param_ci(result, args.confidence)
         theta = result.params.as_array()
         row = [beta]

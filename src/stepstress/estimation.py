@@ -23,7 +23,6 @@ from .model import (
     ModelParams,
     ParameterSpaceWarning,
     StressPlan,
-    _segments_cdf,
     cell_probabilities,
     gradient_matrix,
 )
@@ -214,6 +213,8 @@ def invert_information(j: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _quiet_params(a0: float, a1: float, eta: float) -> ModelParams:
     """ModelParams without the a1 >= 0 warning, for optimizer internals."""
+    if a1 < 0:  # ModelParams warns only on a1 >= 0
+        return ModelParams(a0, a1, eta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterSpaceWarning)
         return ModelParams(a0, a1, eta)
@@ -229,7 +230,7 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     """
     g_hat = np.cumsum(p_hat[:-1])
     t = plan.inspection_times
-    x = plan.stress_levels[_segments_cdf(plan, t)]
+    x = plan.inspection_levels
     mask = (g_hat > 1e-9) & (g_hat < 1 - 1e-9)
     if mask.sum() >= 2 and len(np.unique(x[mask])) >= 2:
         y = np.log(-np.log1p(-g_hat[mask])) - np.log(t[mask])

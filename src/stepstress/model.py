@@ -16,8 +16,9 @@ W matrix), which every estimation and diagnostic routine builds on.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,11 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero is several times cheaper than .all() on arrays this short
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 @dataclass(frozen=True)
 class StressPlan:
     """Design of a step-stress experiment.
@@ -61,11 +67,17 @@ class StressPlan:
             the termination time of the experiment.
         inspection_times: the L inspection times t_1..t_L. Every change time
             must be an inspection time and t_L must equal tau_k.
+        inspection_segments: derived, the 0-based stress segment of each
+            inspection time (tau_{i-1} < t_j <= tau_i), as the cdf sees it.
+        inspection_levels: derived, the stress level in force on each
+            inspection time's segment.
     """
 
     stress_levels: np.ndarray
     change_times: np.ndarray
     inspection_times: np.ndarray
+    inspection_segments: np.ndarray = field(init=False, repr=False, compare=False)
+    inspection_levels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _vector(self.stress_levels, "stress_levels")
@@ -89,6 +101,9 @@ class StressPlan:
         object.__setattr__(self, "stress_levels", x)
         object.__setattr__(self, "change_times", tau)
         object.__setattr__(self, "inspection_times", t)
+        seg = _segments_cdf(self, t)
+        object.__setattr__(self, "inspection_segments", seg)
+        object.__setattr__(self, "inspection_levels", x[seg])
 
     @property
     def n_levels(self) -> int:
@@ -199,28 +214,33 @@ def scale_at_level(params: ModelParams, x: float) -> float:
 
 def shift_terms(params: ModelParams, plan: StressPlan) -> ShiftTerms:
     """Scales and cumulative-exposure shifts for every stress segment."""
-    x = plan.stress_levels
-    tau = plan.change_times
-    with np.errstate(over="ignore", under="ignore"):
-        alphas = np.exp(params.a0 + params.a1 * x)
-    if not np.all(np.isfinite(alphas)) or np.any(alphas <= 0.0):
-        raise NumericError("non-finite or vanished scale among stress levels")
-
-    k = len(x)
-    h = np.zeros(k)
-    h_star = np.zeros(k)
+    exponents = params.a0 + params.a1 * plan.stress_levels
+    if all(-708.0 < e < 709.0 for e in exponents.tolist()):
+        alphas = np.exp(exponents)  # cannot overflow or underflow here
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            alphas = np.exp(exponents)
     # h_i = alpha_{i+1} * sum_{m<=i} (1/alpha_m - 1/alpha_{m+1}) tau_m and its
-    # a1-derivative, accumulated once over segments.
+    # a1-derivative, accumulated once over segments. Python floats round
+    # exactly as float64 does and cost far less per operation on k values.
+    a = alphas.tolist()
+    if not all(math.isfinite(v) and v > 0.0 for v in a):
+        raise NumericError("non-finite or vanished scale among stress levels")
+    x = plan.stress_levels.tolist()
+    tau = plan.change_times.tolist()
+    h = [0.0]
+    h_star = [0.0]
     inv_gap = 0.0
     slope_gap = 0.0
-    for i in range(1, k):
-        inv_gap += (1.0 / alphas[i - 1] - 1.0 / alphas[i]) * tau[i - 1]
-        slope_gap += (x[i] / alphas[i] - x[i - 1] / alphas[i - 1]) * tau[i - 1]
-        h[i] = alphas[i] * inv_gap
-        h_star[i] = h[i] * x[i] + alphas[i] * slope_gap
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(h_star))):
+    for i in range(1, len(a)):
+        inv_gap += (1.0 / a[i - 1] - 1.0 / a[i]) * tau[i - 1]
+        slope_gap += (x[i] / a[i] - x[i - 1] / a[i - 1]) * tau[i - 1]
+        h_i = a[i] * inv_gap
+        h.append(h_i)
+        h_star.append(h_i * x[i] + a[i] * slope_gap)
+    if not all(map(math.isfinite, h + h_star)):
         raise NumericError("non-finite cumulative-exposure shift")
-    return ShiftTerms(alphas=alphas, h=h, h_star=h_star)
+    return ShiftTerms(alphas=alphas, h=np.array(h), h_star=np.array(h_star))
 
 
 def _segments_cdf(plan: StressPlan, t: np.ndarray) -> np.ndarray:
@@ -237,12 +257,18 @@ def _segments_pdf(plan: StressPlan, t: np.ndarray) -> np.ndarray:
 
 def _shifted_scaled(
     terms: ShiftTerms, seg: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted times t + h and scaled arguments (t + h)/alpha per segment."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted times t + h, segment scales alpha, and (t + h)/alpha."""
     shifted = t + terms.h[seg]
-    if np.any((shifted <= 0.0) & (t > 0.0)) or np.any(shifted < 0.0):
+    # shifted = 0 is allowed only at t = 0; the full test runs only when
+    # some shifted time is non-positive at all
+    nonpositive = shifted <= 0.0
+    if np.count_nonzero(nonpositive) and np.count_nonzero(
+        (nonpositive & (t > 0.0)) | (shifted < 0.0)
+    ):
         raise NumericError("non-positive shifted time; parameters out of domain")
-    return shifted, shifted / terms.alphas[seg]
+    alpha = terms.alphas[seg]
+    return shifted, alpha, shifted / alpha
 
 
 def cdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
@@ -252,7 +278,7 @@ def cdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
         raise ValueError("cdf requires t >= 0")
     seg = _segments_cdf(plan, t_arr)
     terms = shift_terms(params, plan)
-    _, u = _shifted_scaled(terms, seg, t_arr)
+    _, _, u = _shifted_scaled(terms, seg, t_arr)
     with np.errstate(over="ignore", under="ignore"):
         values = -np.expm1(-(u**params.eta))
     if not np.all(np.isfinite(values)):
@@ -272,10 +298,10 @@ def pdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
         raise ValueError("pdf requires t > 0")
     seg = _segments_pdf(plan, t_arr)
     terms = shift_terms(params, plan)
-    _, u = _shifted_scaled(terms, seg, t_arr)
+    _, alpha, u = _shifted_scaled(terms, seg, t_arr)
     eta = params.eta
     with np.errstate(over="ignore", under="ignore"):
-        values = eta / terms.alphas[seg] * u ** (eta - 1.0) * np.exp(-(u**eta))
+        values = eta / alpha * u ** (eta - 1.0) * np.exp(-(u**eta))
     if not np.all(np.isfinite(values)):
         raise NumericError("pdf evaluation overflowed")
     return float(values) if np.isscalar(t) or t_arr.ndim == 0 else values
@@ -283,12 +309,10 @@ def pdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
 
 def _survivals(params: ModelParams, plan: StressPlan, terms: ShiftTerms) -> np.ndarray:
     """Survival probabilities at each inspection time."""
-    t = plan.inspection_times
-    seg = _segments_cdf(plan, t)
-    _, u = _shifted_scaled(terms, seg, t)
+    _, _, u = _shifted_scaled(terms, plan.inspection_segments, plan.inspection_times)
     with np.errstate(over="ignore", under="ignore"):
         s = np.exp(-(u**params.eta))
-    if not np.all(np.isfinite(s)):
+    if not _all_finite(s):
         raise NumericError("survival evaluation overflowed")
     return s
 
@@ -306,7 +330,7 @@ def cell_probabilities(params: ModelParams, plan: StressPlan) -> np.ndarray:
     pi[0] = 1.0 - s[0]
     pi[1:-1] = s[:-1] - s[1:]
     pi[-1] = s[-1]
-    return np.clip(pi, 0.0, 1.0)
+    return np.minimum(np.maximum(pi, 0.0), 1.0)
 
 
 def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
@@ -317,23 +341,20 @@ def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
     matrix has shape (L+1) x 3 and its rows sum to the zero vector.
     """
     terms = shift_terms(params, plan)
-    t = plan.inspection_times
-    seg = _segments_cdf(plan, t)
-    shifted, u = _shifted_scaled(terms, seg, t)
+    seg = plan.inspection_segments
+    shifted, alpha_seg, u = _shifted_scaled(terms, seg, plan.inspection_times)
     eta = params.eta
-    x_seg = plan.stress_levels[seg]
-    hstar_seg = terms.h_star[seg]
-    alpha_seg = terms.alphas[seg]
 
     with np.errstate(over="ignore", under="ignore"):
         dens = eta / alpha_seg * u ** (eta - 1.0) * np.exp(-(u**eta))
         log_u = np.log(u)
-    if not (np.all(np.isfinite(dens)) and np.all(np.isfinite(log_u))):
+    if not (_all_finite(dens) and _all_finite(log_u)):
         raise NumericError("gradient evaluation overflowed")
 
-    z = np.empty((len(t), 3))
-    z[:, 0] = -shifted
-    z[:, 1] = -shifted * x_seg + hstar_seg
+    z = np.empty((plan.n_inspections, 3))
+    neg_shifted = -shifted
+    z[:, 0] = neg_shifted
+    z[:, 1] = neg_shifted * plan.inspection_levels + terms.h_star[seg]
     z[:, 2] = log_u * shifted / eta
     z *= dens[:, None]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericError
 from .estimation import FitConfig, FitResult, fit
 from .model import IntervalData, ModelParams, StressPlan
 
@@ -86,6 +86,7 @@ def _grid_fits(
 ) -> tuple[list[float], list[FitResult]]:
     template = config.fit_config if config.fit_config is not None else FitConfig()
     betas, fits = [], []
+    n_ill_conditioned = 0
     for beta in config.beta_grid:
         try:
             result = fit(plan, data, replace(template, beta=beta))
@@ -103,9 +104,24 @@ def _grid_fits(
                 stacklevel=3,
             )
             continue
+        if result.ill_conditioned:
+            # the pseudo-inverse shrinks the covariance trace such a fit is
+            # scored by, so it would win the selection on a false variance
+            n_ill_conditioned += 1
+            warnings.warn(
+                f"fit at beta={beta:g} is ill-conditioned; excluded from selection",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            continue
         betas.append(beta)
         fits.append(result)
     if not fits:
+        if n_ill_conditioned:
+            raise NumericError(
+                "every converged candidate fit is ill-conditioned; "
+                "no beta can be selected"
+            )
         raise ConvergenceError("no candidate beta produced a converged fit")
     return betas, fits
 
@@ -120,6 +136,11 @@ def select_beta(
     minimizer (ties broken toward smaller beta, preferring efficiency),
     and either stops — the winner moved less than ``epsilon`` from the
     pilot — or promotes the winner to pilot and rescores.
+
+    Candidates whose fit fails, does not converge or is ill-conditioned
+    are left out, each with a RuntimeWarning. Raises NumericError when
+    every converged candidate is ill-conditioned, and ConvergenceError
+    when no candidate converged.
     """
     config = config if config is not None else TuningConfig()
     betas, fits = _grid_fits(plan, data, config)

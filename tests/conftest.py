@@ -97,3 +97,70 @@ def exposure_cell_probabilities(theta, plan):
     exposure = (time_at_level / alpha).sum(axis=1)
     failed = -np.expm1(-(exposure**eta))
     return np.diff(np.concatenate([[0.0], failed, [1.0]]))
+
+
+# Frozen reference for the shift-term kernels, written as a loop over numpy
+# scalars with a segment search on every call. model.py must reproduce it
+# bit for bit; do not edit it to follow the package.
+
+
+def reference_shift_terms(params, plan):
+    """Scales alpha_i and the shifts h, h* from a loop over numpy scalars."""
+    x = plan.stress_levels
+    tau = plan.change_times
+    with np.errstate(over="ignore", under="ignore"):
+        alphas = np.exp(params.a0 + params.a1 * x)
+    k = len(x)
+    h = np.zeros(k)
+    h_star = np.zeros(k)
+    inv_gap = 0.0
+    slope_gap = 0.0
+    for i in range(1, k):
+        inv_gap += (1.0 / alphas[i - 1] - 1.0 / alphas[i]) * tau[i - 1]
+        slope_gap += (x[i] / alphas[i] - x[i - 1] / alphas[i - 1]) * tau[i - 1]
+        h[i] = alphas[i] * inv_gap
+        h_star[i] = h[i] * x[i] + alphas[i] * slope_gap
+    return alphas, h, h_star
+
+
+def _reference_inspection_terms(params, plan):
+    alphas, h, h_star = reference_shift_terms(params, plan)
+    t = plan.inspection_times
+    seg = np.minimum(
+        np.searchsorted(plan.change_times, t, side="left"), plan.n_levels - 1
+    )
+    shifted = t + h[seg]
+    return seg, alphas[seg], h_star[seg], shifted, shifted / alphas[seg]
+
+
+def reference_cell_probabilities(params, plan):
+    """Cell probabilities from the frozen shift-term reference."""
+    _, _, _, _, u = _reference_inspection_terms(params, plan)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.exp(-(u**params.eta))
+    pi = np.empty(plan.n_cells)
+    pi[0] = 1.0 - s[0]
+    pi[1:-1] = s[:-1] - s[1:]
+    pi[-1] = s[-1]
+    return np.clip(pi, 0.0, 1.0)
+
+
+def reference_gradient_matrix(params, plan):
+    """The W matrix from the frozen shift-term reference."""
+    seg, alpha_seg, hstar_seg, shifted, u = _reference_inspection_terms(
+        params, plan
+    )
+    eta = params.eta
+    with np.errstate(over="ignore", under="ignore"):
+        dens = eta / alpha_seg * u ** (eta - 1.0) * np.exp(-(u**eta))
+        log_u = np.log(u)
+    z = np.empty((plan.n_inspections, 3))
+    z[:, 0] = -shifted
+    z[:, 1] = -shifted * plan.stress_levels[seg] + hstar_seg
+    z[:, 2] = log_u * shifted / eta
+    z *= dens[:, None]
+    w = np.empty((plan.n_cells, 3))
+    w[0] = z[0]
+    w[1:-1] = z[1:] - z[:-1]
+    w[-1] = -z[-1]
+    return w

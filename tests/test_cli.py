@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import stepstress.cli as cli
+import stepstress.tuning as tuning
 from stepstress.cli import (
     EXIT_CONVERGENCE,
     EXIT_DATA,
@@ -154,6 +155,21 @@ class TestFit:
         meta, _, rows = csv_table(out)
         assert meta["beta_grid"] == "optimal"
         assert rows[0, 0] == 0.0  # tuning selects the likelihood fit here
+
+    def test_tuned_fit_is_not_refitted(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[2].beta)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", counting_fit)
+        monkeypatch.setattr(tuning, "fit", counting_fit)
+        code, out = run_cli(capsys, "fit", "--data", "solar", "--format", "csv")
+        assert code == EXIT_OK
+        # the 11 grid fits of select_beta, and no twelfth at beta_opt
+        assert calls == list(tuning.DEFAULT_BETA_GRID)
+        assert csv_table(out)[2][0, 0] == 0.0
 
 
 class TestCi:
@@ -477,6 +493,8 @@ class TestExitCodes:
         for argv in (
             ("ci", "--data", str(path)),
             ("test", "--data", str(path), "--constraint", "0,1,0,0"),
+            ("tune", "--data", str(path)),
+            ("fit", "--data", str(path)),
         ):
             code = main(list(argv))
             err = capsys.readouterr().err

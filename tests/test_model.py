@@ -1,15 +1,31 @@
 """Cumulative-exposure model: distribution, cells, and analytic gradient."""
 
+import dataclasses
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import SIM_PLAN, SIM_THETA, fd_cell_gradient, random_problem
+from conftest import (
+    SIM_PLAN,
+    SIM_THETA,
+    exposure_cell_probabilities,
+    fd_cell_gradient,
+    random_problem,
+    reference_cell_probabilities,
+    reference_gradient_matrix,
+    reference_shift_terms,
+)
+from stepstress.datasets import BUNDLED_DATASETS, load_dataset
+from stepstress.errors import NumericError
 from stepstress.model import (
     IntervalData,
     ModelParams,
     ParameterSpaceWarning,
     StressPlan,
+    _segments_cdf,
     cdf,
     cell_probabilities,
     gradient_matrix,
@@ -17,6 +33,7 @@ from stepstress.model import (
     scale_at_level,
     shift_terms,
 )
+from stepstress.montecarlo import load_scenario
 
 
 class TestStressPlan:
@@ -44,6 +61,50 @@ class TestStressPlan:
     def test_level_count_mismatch(self):
         with pytest.raises(ValueError, match="one entry per stress level"):
             StressPlan([1.0, 2.0, 3.0], [1.0, 2.0], [1.0, 2.0])
+
+
+def _assert_segments_cached(plan):
+    seg = _segments_cdf(plan, plan.inspection_times)
+    assert np.array_equal(plan.inspection_segments, seg)
+    assert np.array_equal(plan.inspection_levels, plan.stress_levels[seg])
+
+
+class TestPlanSegmentCache:
+    def test_matches_segment_search(self):
+        rng = np.random.default_rng(610)
+        for _ in range(100):
+            _, plan = random_problem(rng, k_max=5)
+            _assert_segments_cached(plan)
+
+    def test_survives_replace(self):
+        rng = np.random.default_rng(611)
+        for _ in range(30):
+            _, plan = random_problem(rng, k_max=5)
+            moved = dataclasses.replace(plan, stress_levels=plan.stress_levels + 1.5)
+            _assert_segments_cached(moved)
+            assert np.array_equal(moved.inspection_levels, plan.inspection_levels + 1.5)
+            # the last change time doubles as the termination time
+            stretched = dataclasses.replace(
+                plan,
+                change_times=plan.change_times * 2.0,
+                inspection_times=plan.inspection_times * 2.0,
+            )
+            _assert_segments_cached(stretched)
+
+    def test_survives_pickle(self):
+        rng = np.random.default_rng(612)
+        for _ in range(30):
+            params, plan = random_problem(rng, k_max=5)
+            copy = pickle.loads(pickle.dumps(plan))
+            _assert_segments_cached(copy)
+            assert np.array_equal(
+                gradient_matrix(params, copy), gradient_matrix(params, plan)
+            )
+
+    def test_not_part_of_repr_or_init(self):
+        assert "inspection_segments" not in repr(SIM_PLAN)
+        with pytest.raises(TypeError):
+            StressPlan([1.0], [2.0], [1.0, 2.0], inspection_segments=[0, 0])
 
 
 class TestModelParams:
@@ -138,6 +199,93 @@ class TestShiftTerms:
             fd = (hi.h - lo.h) / (2 * delta)
             terms = shift_terms(params, plan)
             assert terms.h_star == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def _bundled_problems():
+    """Each bundled plan at its truth or rounded MLE, and at points around it."""
+    rng = np.random.default_rng(613)
+    anchors = {
+        "solar": (1.804, -2.388, 1.535),
+        "transistor": (16.436, -5.163, 0.870),
+        "led": (9.529, -5.052, 1.820),
+    }
+    problems = []
+    for name in BUNDLED_DATASETS:
+        plan = load_dataset(name).plan
+        problems.append((ModelParams(*anchors[name]), plan))
+    spec = load_scenario("clean")
+    problems.append((spec.theta_true, spec.plan))
+    spread = []
+    for params, plan in problems:
+        for _ in range(25):
+            theta = params.as_array()
+            theta = theta + rng.normal(0.0, 0.1 * np.abs(theta))
+            spread.append((ModelParams(*theta), plan))
+    return problems + spread
+
+
+def _random_problems_by_level_count():
+    rng = np.random.default_rng(614)
+    problems = [random_problem(rng, k_max=5) for _ in range(300)]
+    assert {plan.n_levels for _, plan in problems} == {1, 2, 3, 4, 5}
+    return problems
+
+
+class TestFrozenReference:
+    """The kernels reproduce the frozen shift-term reference bit for bit."""
+
+    @staticmethod
+    def _assert_bit_exact(params, plan):
+        alphas, h, h_star = reference_shift_terms(params, plan)
+        terms = shift_terms(params, plan)
+        assert np.array_equal(terms.alphas, alphas)
+        assert np.array_equal(terms.h, h)
+        assert np.array_equal(terms.h_star, h_star)
+        assert np.array_equal(
+            cell_probabilities(params, plan), reference_cell_probabilities(params, plan)
+        )
+        assert np.array_equal(
+            gradient_matrix(params, plan), reference_gradient_matrix(params, plan)
+        )
+
+    def test_random_plans_one_to_five_levels(self):
+        for params, plan in _random_problems_by_level_count():
+            self._assert_bit_exact(params, plan)
+
+    def test_bundled_plans(self):
+        for params, plan in _bundled_problems():
+            self._assert_bit_exact(params, plan)
+
+    def test_single_level_runs_no_recursion(self):
+        plan = StressPlan([1.0], [4.0], [1.0, 2.5, 4.0])
+        params = ModelParams(1.2, -0.4, 1.3)
+        self._assert_bit_exact(params, plan)
+        terms = shift_terms(params, plan)
+        assert terms.h.tolist() == [0.0] and terms.h_star.tolist() == [0.0]
+
+    def test_guards_still_raise(self):
+        # both scales are positive, but 1/alpha_2 overflows in the recursion
+        params = ModelParams(-708.0, -1.0, 1.0)
+        plan = StressPlan([1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
+        with np.errstate(all="ignore"):
+            alphas, h, _ = reference_shift_terms(params, plan)
+        assert np.all(alphas > 0.0) and not np.all(np.isfinite(h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning escapes either
+            with pytest.raises(NumericError, match="shift"):
+                shift_terms(params, plan)
+            with pytest.raises(NumericError, match="scale"):
+                shift_terms(ModelParams(800.0, -1.0, 1.0), plan)
+
+    def test_reference_agrees_with_exposure_oracle(self):
+        problems = _random_problems_by_level_count() + _bundled_problems()
+        for params, plan in problems:
+            assert np.allclose(
+                reference_cell_probabilities(params, plan),
+                exposure_cell_probabilities(params.as_array(), plan),
+                rtol=0.0,
+                atol=1e-13,
+            )
 
 
 class TestCdf:

@@ -1,12 +1,14 @@
 """Tests for data-driven selection of the tuning parameter."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+import stepstress.tuning as tuning
 from stepstress.datasets import load_dataset
-from stepstress.errors import ConvergenceError
+from stepstress.errors import ConvergenceError, NumericError
 from stepstress.estimation import FitConfig, FitResult, fit
 from stepstress.model import IntervalData, ModelParams, cdf, cell_probabilities
 from stepstress.tuning import (
@@ -167,6 +169,29 @@ class TestSelectBeta:
         with pytest.warns(RuntimeWarning, match="excluded"):
             with pytest.raises(ConvergenceError, match="no candidate"):
                 select_beta(SIM_PLAN, bad)
+
+    def test_ill_conditioned_candidates_raise(self):
+        # the solar design with every first-level survivor failing in the
+        # first interval after the stress change: a1 is not identified, and
+        # every grid fit converges ill-conditioned
+        plan = load_dataset("solar").plan
+        data = IntervalData(np.array([14.0, 11, 8, 6, 0, 0, 0]), 39)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned; excluded"):
+            with pytest.raises(NumericError, match="ill-conditioned"):
+                select_beta(plan, data)
+
+    def test_ill_conditioned_candidate_left_out(self, monkeypatch):
+        def flag_beta_zero(plan, data, config):
+            result = fit(plan, data, config)
+            return dataclasses.replace(result, ill_conditioned=config.beta == 0.0)
+
+        monkeypatch.setattr(tuning, "fit", flag_beta_zero)
+        bundle = load_dataset("solar")
+        with pytest.warns(RuntimeWarning, match="beta=0 is ill-conditioned"):
+            result = select_beta(bundle.plan, bundle.data)
+        assert 0.0 not in result.mse_curve[:, 0]
+        assert len(result.mse_curve) == len(DEFAULT_BETA_GRID) - 1
+        assert result.beta_opt > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="increasing"):

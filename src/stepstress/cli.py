@@ -10,7 +10,7 @@ formatting differs.
 
 Exit codes: 0 success, 2 bad arguments or flag values, 3 data problems,
 4 convergence failures, 5 numerical failures (including an ill-conditioned
-fit, whose intervals and tests are refused).
+fit, whose intervals and tests are refused), 1 any other library error.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from .errors import ConvergenceError, DataError, NumericError, StepStressError
 from .estimation import FitConfig, fit
 from .influence import influence_report
 from .lifetime import characteristic_ci, param_ci
-from .montecarlo import BUNDLED_SCENARIOS, load_scenario, run_scenario
+from .montecarlo import BUNDLED_SCENARIOS, format_csv, load_scenario, run_scenario
 from .tuning import TuningConfig, select_beta
 from .wald import linear_constraint, wald_statistic
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
@@ -58,12 +59,11 @@ class Report:
     rows: list
     row_labels: list | None = None
 
+    def header(self) -> str:
+        return "".join(f"# {key}: {value}\n" for key, value in self.meta.items())
+
     def to_csv(self) -> str:
-        lines = [f"# {key}: {value}" for key, value in self.meta.items()]
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return self.header() + format_csv(self.columns, self.rows)
 
     def to_json(self) -> str:
         payload = {
@@ -91,17 +91,15 @@ class Report:
             max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
             for i in range(len(header))
         ]
-        lines = [f"# {key}: {value}" for key, value in self.meta.items()]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in body:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines) + "\n"
+        lines = [
+            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
+            "  ".join("-" * w for w in widths),
+        ]
+        lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in body)
+        return self.header() + "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
-        return {"pretty": self.to_pretty, "csv": self.to_csv, "json": self.to_json}[
-            fmt
-        ]()
+        return getattr(self, f"to_{fmt}")()
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -126,12 +124,28 @@ def _dataset_hash(bundle) -> str:
     return digest.hexdigest()[:16]
 
 
+def _grid(betas) -> str:
+    return ",".join(f"{b:g}" for b in betas)
+
+
+def _meta(bundle, beta_grid: str, **settings) -> dict:
+    """Report header of a dataset command: what was fitted, with what."""
+    return {
+        "dataset": bundle.name,
+        "dataset_hash": _dataset_hash(bundle),
+        "version": __version__,
+        "beta_grid": beta_grid,
+        **settings,
+        "seed": "none",
+    }
+
+
 def _parse_float_list(raw: str, flag: str) -> tuple:
     try:
-        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated numbers: {exc}") from exc
-    return values
+
 
 def _parse_constraint(raw: str):
     values = _parse_float_list(raw, "--constraint")
@@ -156,20 +170,21 @@ def _fit_one(bundle, beta: float):
     return result
 
 
-def _characteristic_row(result, bundle, x0, t, qrel, confidence):
-    """Estimates and both CI families for mean, reliability, quantile."""
-    out = []
-    for kind, extra in (("mean", None), ("reliability", t), ("quantile", qrel)):
-        if kind == "reliability" and t is None:
-            out.extend([np.nan] * 5)
+def _characteristics(result, bundle, x0, args):
+    """(label, estimate) for the mean, the reliability at --t and the
+    quantile at --qrel; the reliability's estimate is None without --t."""
+    for kind, extra, label in (
+        ("mean", None, "mean"),
+        ("reliability", args.t, "reliability(t={:g})"),
+        ("quantile", args.qrel, "quantile(level={:g})"),
+    ):
+        if kind == "reliability" and extra is None:
+            yield label, None
             continue
-        est = characteristic_ci(
-            result, bundle.plan, x0, kind, extra, confidence=confidence
+        yield label.format(extra), characteristic_ci(
+            result, bundle.plan, x0, kind, extra, confidence=args.confidence
         )
-        out.extend(
-            [est.value, *est.ci_direct, *est.ci_transformed]
-        )
-    return out
+
 
 FIT_COLUMNS = (
     "beta",
@@ -203,26 +218,23 @@ def cmd_fit(args) -> int:
         row = [beta]
         for i in range(3):
             row.extend([theta[i], cis[i, 0], cis[i, 1]])
-        row.extend(
-            _characteristic_row(result, bundle, x0, args.t, args.qrel, args.confidence)
-        )
+        for _, est in _characteristics(result, bundle, x0, args):
+            row.extend(
+                [np.nan] * 5 if est is None
+                else [est.value, *est.ci_direct, *est.ci_transformed]
+            )
         rows.append(row)
         labels.append("Optimal" if beta == optimal else f"beta={beta:g}")
 
-    meta = {
-        "dataset": bundle.name,
-        "dataset_hash": _dataset_hash(bundle),
-        "version": __version__,
-        "beta_grid": "optimal" if optimal is not None else ",".join(
-            f"{b:g}" for b in betas
-        ),
-        "x0": f"{x0!r}",
-        "t": "none" if args.t is None else f"{args.t!r}",
-        "qrel": f"{args.qrel!r}",
-        "confidence": f"{args.confidence!r}",
-        "devices": bundle.data.total,
-        "seed": "none",
-    }
+    meta = _meta(
+        bundle,
+        "optimal" if optimal is not None else _grid(betas),
+        x0=f"{x0!r}",
+        t="none" if args.t is None else f"{args.t!r}",
+        qrel=f"{args.qrel!r}",
+        confidence=f"{args.confidence!r}",
+        devices=bundle.data.total,
+    )
     _emit(Report(meta, FIT_COLUMNS, rows, labels).render(args.format), args.output)
     return EXIT_OK
 
@@ -245,32 +257,18 @@ def cmd_ci(args) -> int:
     for i, name in enumerate(("a0", "a1", "eta")):
         rows.append([theta[i], ses[i], cis[i, 0], cis[i, 1], np.nan, np.nan])
         labels.append(name)
-    reliability_label = None if args.t is None else f"reliability(t={args.t:g})"
-    for kind, extra, label in (
-        ("mean", None, "mean"),
-        ("reliability", args.t, reliability_label),
-        ("quantile", args.qrel, f"quantile(level={args.qrel:g})"),
-    ):
-        if label is None:
-            continue
-        est = characteristic_ci(
-            result, bundle.plan, x0, kind, extra, confidence=args.confidence
-        )
-        rows.append(
-            [est.value, est.std_error, *est.ci_direct, *est.ci_transformed]
-        )
-        labels.append(label)
+    for label, est in _characteristics(result, bundle, x0, args):
+        if est is not None:
+            rows.append([est.value, est.std_error, *est.ci_direct, *est.ci_transformed])
+            labels.append(label)
 
-    meta = {
-        "dataset": bundle.name,
-        "dataset_hash": _dataset_hash(bundle),
-        "version": __version__,
-        "beta_grid": f"{args.beta:g}",
-        "x0": f"{x0!r}",
-        "confidence": f"{args.confidence!r}",
-        "devices": bundle.data.total,
-        "seed": "none",
-    }
+    meta = _meta(
+        bundle,
+        _grid([args.beta]),
+        x0=f"{x0!r}",
+        confidence=f"{args.confidence!r}",
+        devices=bundle.data.total,
+    )
     _emit(Report(meta, CI_COLUMNS, rows, labels).render(args.format), args.output)
     return EXIT_OK
 
@@ -288,16 +286,8 @@ def cmd_test(args) -> int:
         args.alpha,
         float(test.reject_at(args.alpha)),
     ]]
-    meta = {
-        "dataset": bundle.name,
-        "dataset_hash": _dataset_hash(bundle),
-        "version": __version__,
-        "beta_grid": f"{args.beta:g}",
-        "constraint": args.constraint,
-        "seed": "none",
-    }
     report = Report(
-        meta,
+        _meta(bundle, _grid([args.beta]), constraint=args.constraint),
         ("statistic", "df", "p_value", "reject_5pct", "alpha", "reject_alpha"),
         rows,
     )
@@ -322,18 +312,15 @@ def cmd_tune(args) -> int:
         config = replace(config, beta_grid=_parse_float_list(args.grid, "--grid"))
     tuned = select_beta(bundle.plan, bundle.data, config)
     theta = tuned.theta_opt.as_array()
-    meta = {
-        "dataset": bundle.name,
-        "dataset_hash": _dataset_hash(bundle),
-        "version": __version__,
-        "beta_grid": ",".join(f"{b:g}" for b in config.beta_grid),
-        "beta_opt": f"{float(tuned.beta_opt)!r}",
-        "rounds": tuned.rounds,
-        "a0": f"{float(theta[0])!r}",
-        "a1": f"{float(theta[1])!r}",
-        "eta": f"{float(theta[2])!r}",
-        "seed": "none",
-    }
+    meta = _meta(
+        bundle,
+        _grid(config.beta_grid),
+        beta_opt=f"{float(tuned.beta_opt)!r}",
+        rounds=tuned.rounds,
+        a0=f"{float(theta[0])!r}",
+        a1=f"{float(theta[1])!r}",
+        eta=f"{float(theta[2])!r}",
+    )
     rows = [list(pair) for pair in tuned.mse_curve]
     _emit(
         Report(meta, ("beta", "mse_estimate"), rows).render(args.format),
@@ -362,15 +349,12 @@ def cmd_influence(args) -> int:
         wald_so = np.nan if rep.if_wald_second_order is None else rep.if_wald_second_order
         rows.append([rep.cell, *rep.if_vector, wald_so, float(rep.ill_conditioned)])
 
-    meta = {
-        "dataset": bundle.name,
-        "dataset_hash": _dataset_hash(bundle),
-        "version": __version__,
-        "beta_grid": f"{args.beta:g}",
-        "constraint": args.constraint or "none",
-        "devices": bundle.data.total,
-        "seed": "none",
-    }
+    meta = _meta(
+        bundle,
+        _grid([args.beta]),
+        constraint=args.constraint or "none",
+        devices=bundle.data.total,
+    )
     report = Report(
         meta,
         ("cell", "if_a0", "if_a1", "if_eta", "wald_second_order", "ill_conditioned"),
@@ -390,41 +374,39 @@ def cmd_simulate(args) -> int:
     meta = {
         "scenario": args.scenario,
         "version": __version__,
-        "beta_grid": ",".join(f"{b:g}" for b in spec.beta_grid),
+        "beta_grid": _grid(spec.beta_grid),
         "replications": spec.replications,
         "devices": spec.n_devices,
         "seed": spec.seed,
     }
     if args.sweep:
         parameter, values = _parse_sweep(args.sweep)
-        lines = None
+        meta[f"sweep_{parameter}"] = _grid(values)
+        blocks = []
         for value in values:
-            swept = _swept_spec(spec, parameter, value)
-            table = run_scenario(swept, n_jobs=args.jobs)
-            body = table.to_csv().splitlines()
-            if lines is None:
-                meta[f"sweep_{parameter}"] = ",".join(f"{v:g}" for v in values)
-                lines = [f"# {k}: {v}" for k, v in meta.items()]
-                lines.append(f"sweep_{parameter}," + body[0])
-            lines.extend(f"{value!r}," + data_line for data_line in body[1:])
-        text = "\n".join(lines) + "\n"
+            table = run_scenario(_swept_spec(spec, parameter, value), n_jobs=args.jobs)
+            blocks.append(np.column_stack([np.full(len(table.rows), value), table.rows]))
+        columns = (f"sweep_{parameter}", *table.columns)
+        report = Report(meta, columns, np.concatenate(blocks))
     else:
         table = run_scenario(spec, n_jobs=args.jobs)
-        header = [f"# {k}: {v}" for k, v in meta.items()]
-        text = "\n".join(header) + "\n" + table.to_csv()
-    _emit(text, args.output)
+        report = Report(meta, table.columns, table.rows)
+    _emit(report.to_csv(), args.output)
     return EXIT_OK
 
 
 def _parse_sweep(raw: str):
-    name, _, values = raw.partition("=")
+    name, _, raw_values = raw.partition("=")
     name = name.strip()
-    if name not in ("a0", "a1", "eta") or not values:
+    values = ()
+    if name in ("a0", "a1", "eta"):
+        values = _parse_float_list(raw_values, "--sweep")
+    if not values:
         raise UsageError(
             "--sweep expects 'a0=v1,v2,...', 'a1=...' or 'eta=...' giving "
             "the contaminating values to sweep over"
         )
-    return name, _parse_float_list(values, "--sweep")
+    return name, values
 
 
 def _swept_spec(spec, parameter: str, value: float):
@@ -437,37 +419,33 @@ def _swept_spec(spec, parameter: str, value: float):
 
 
 def cmd_datasets(args) -> int:
-    entries = []
-    for name in BUNDLED_DATASETS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bundle = load_dataset(name)
-        entries.append(
-            {
-                "name": name,
-                "devices": bundle.data.total,
-                "cells": bundle.plan.n_cells,
-                "stress_levels": len(bundle.plan.stress_levels),
-                "time_unit": bundle.time_unit,
-                "hash": _dataset_hash(bundle),
-                "description": bundle.description,
-            }
-        )
-    scenarios = []
-    for name in BUNDLED_SCENARIOS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = load_scenario(name)
-        scenarios.append(
-            {
-                "name": name,
-                "replications": spec.replications,
-                "devices": spec.n_devices,
-                "seed": spec.seed,
-                "beta_grid": ",".join(f"{b:g}" for b in spec.beta_grid),
-                "contaminated_cell": spec.contaminated_cell,
-            }
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundles = [load_dataset(name) for name in BUNDLED_DATASETS]
+        specs = [load_scenario(name) for name in BUNDLED_SCENARIOS]
+    entries = [
+        {
+            "name": name,
+            "devices": bundle.data.total,
+            "cells": bundle.plan.n_cells,
+            "stress_levels": len(bundle.plan.stress_levels),
+            "time_unit": bundle.time_unit,
+            "hash": _dataset_hash(bundle),
+            "description": bundle.description,
+        }
+        for name, bundle in zip(BUNDLED_DATASETS, bundles)
+    ]
+    scenarios = [
+        {
+            "name": name,
+            "replications": spec.replications,
+            "devices": spec.n_devices,
+            "seed": spec.seed,
+            "beta_grid": _grid(spec.beta_grid),
+            "contaminated_cell": spec.contaminated_cell,
+        }
+        for name, spec in zip(BUNDLED_SCENARIOS, specs)
+    ]
     if args.format == "json":
         _emit(
             json.dumps(
@@ -498,6 +476,16 @@ def cmd_datasets(args) -> int:
         )
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
+
+
+def _add_characteristic_flags(sub):
+    sub.add_argument("--x0", type=float, default=None,
+                     help="physical use stress (default: the dataset's convention)")
+    sub.add_argument("--t", type=float, default=None,
+                     help="mission time for the reliability column")
+    sub.add_argument("--qrel", type=float, default=0.95,
+                     help="reliability level for the quantile column (default 0.95)")
+    sub.add_argument("--confidence", type=float, default=0.95)
 
 
 def _add_common(sub, *, data=True, fmt=True):
@@ -538,22 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated beta values; empty selects beta by tuning "
         "and labels the row 'Optimal'",
     )
-    p.add_argument("--x0", type=float, default=None,
-                   help="physical use stress (default: the dataset's convention)")
-    p.add_argument("--t", type=float, default=None,
-                   help="mission time for the reliability column")
-    p.add_argument("--qrel", type=float, default=0.95,
-                   help="reliability level for the quantile column (default 0.95)")
-    p.add_argument("--confidence", type=float, default=0.95)
+    _add_characteristic_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("ci", help="parameter and characteristic intervals at one beta")
     _add_common(p)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--qrel", type=float, default=0.95)
-    p.add_argument("--confidence", type=float, default=0.95)
+    _add_characteristic_flags(p)
     p.set_defaults(func=cmd_ci)
 
     p = subs.add_parser("test", help="Wald test of a linear parameter constraint")
@@ -613,35 +592,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code of each failure; the first matching row wins, so DataError (a
+#: ValueError) comes before ValueError, which covers UsageError
+EXIT_CODES = (
+    (DataError, EXIT_DATA),
+    (ConvergenceError, EXIT_CONVERGENCE),
+    (NumericError, EXIT_NUMERIC),
+    (StepStressError, EXIT_ERROR),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_DATA),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (SystemExit, *(kind for kind, _ in EXIT_CODES)) as exc:
+        if isinstance(exc, SystemExit):  # argparse has printed usage or help
+            return int(exc.code or 0)
         print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConvergenceError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except NumericError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except StepStressError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"stepstress: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -200,7 +200,12 @@ def load_dataset(name_or_path: str | Path) -> DatasetBundle:
             )
         text = path.read_text(encoding="utf-8")
         origin = str(path)
-    return _build_bundle(*_parse_dataset_text(text, origin), origin=origin)
+    try:
+        return _build_bundle(*_parse_dataset_text(text, origin), origin=origin)
+    except DataError:
+        raise
+    except ValueError as exc:  # a bad number or design the parser did not name
+        raise DataError(f"{origin}: {exc}") from exc
 
 
 def _parse_dataset_text(text: str, origin: str):

@@ -77,8 +77,8 @@ class FitConfig:
     multistart: int = 5
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
         if self.multistart <= 0:
             raise ValueError("multistart must be positive")
 

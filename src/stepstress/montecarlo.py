@@ -106,8 +106,10 @@ class ScenarioSpec:
                 "theta_tilde and contaminated_cell must be given together"
             )
         grid = tuple(float(b) for b in np.atleast_1d(self.beta_grid))
-        if not grid or any(b < 0.0 for b in grid):
-            raise ValueError("beta_grid must be non-empty with beta >= 0")
+        if not grid or not all(0.0 <= b < np.inf for b in grid):
+            raise ValueError(
+                "beta_grid must be non-empty; each beta must be finite and >= 0"
+            )
         object.__setattr__(self, "beta_grid", grid)
 
     @property
@@ -142,10 +144,14 @@ class MetricsTable:
         return dict(zip(self.columns, self.rows[idx[0]]))
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return format_csv(self.columns, self.rows)
+
+
+def format_csv(columns, rows) -> str:
+    """The column line, then each row as ``repr(float)`` values: full precision."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def contaminate(
@@ -197,20 +203,25 @@ def simulate_counts(pi: np.ndarray, n_devices: int, rng) -> IntervalData:
     return IntervalData(counts, int(n_devices))
 
 
-# per-replication record layout (one block of _REP_COLS per beta)
-_REP_COLS = 15
-_OK, _A0, _A1, _ETA, _REL = 0, 1, 2, 3, 4
-_RD_LO, _RD_HI, _RT_LO, _RT_HI = 5, 6, 7, 8
-_MEAN, _MD_LO, _MD_HI, _MT_LO, _MT_HI = 9, 10, 11, 12, 13
-_REJ = 14
+#: one replication's outcome at one beta; ``ok`` stays False when the fit
+#: fails. Each ``*_ci`` field holds the direct, then the transformed interval.
+_RECORD = np.dtype([
+    ("ok", bool),
+    ("theta", float, 3),
+    ("reliability", float),
+    ("reliability_ci", float, (2, 2)),
+    ("mean", float),
+    ("mean_ci", float, (2, 2)),
+    ("reject", bool),
+])
 
 
 def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
-    """Fit every beta on one replication; one _REP_COLS block per beta."""
+    """Fit every beta on one replication; one _RECORD per beta."""
     rng = np.random.default_rng([spec.seed, rep])
     p_hat = simulate_counts(pi_gen, spec.n_devices, rng).proportions
     constraint = linear_constraint([0.0, 1.0, 0.0], spec.null_slope)
-    out = np.zeros((len(spec.beta_grid), _REP_COLS))
+    out = np.zeros(len(spec.beta_grid), dtype=_RECORD)
     for b, beta in enumerate(spec.beta_grid):
         try:
             with warnings.catch_warnings():
@@ -230,21 +241,23 @@ def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
                 test = wald_statistic(result, constraint)
         except StepStressError:
             continue
-        theta = result.params.as_array()
-        out[b, _OK] = 1.0
-        out[b, _A0 : _ETA + 1] = theta
-        out[b, _REL] = rel.value
-        out[b, _RD_LO], out[b, _RD_HI] = rel.ci_direct
-        out[b, _RT_LO], out[b, _RT_HI] = rel.ci_transformed
-        out[b, _MEAN] = mean.value
-        out[b, _MD_LO], out[b, _MD_HI] = mean.ci_direct
-        out[b, _MT_LO], out[b, _MT_HI] = mean.ci_transformed
-        out[b, _REJ] = float(test.reject_at(0.05))
+        out[b] = (
+            True,
+            result.params.as_array(),
+            rel.value,
+            (rel.ci_direct, rel.ci_transformed),
+            mean.value,
+            (mean.ci_direct, mean.ci_transformed),
+            test.reject_at(0.05),
+        )
     return out
 
 
-def _coverage(lo: np.ndarray, hi: np.ndarray, true_value: float) -> np.ndarray:
-    return ((lo <= true_value) & (true_value <= hi)).astype(float)
+def _mean_se(values: np.ndarray) -> tuple:
+    """Sample mean and its standard error (NaN from fewer than two values)."""
+    n = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else np.nan
+    return float(values.mean()), se
 
 
 def _proportion_se(p: float, n: int) -> float:
@@ -258,6 +271,8 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
     processes. Aggregation always proceeds in replication order, so the
     resulting table is identical for any job count.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     pi_gen = spec.generating_probabilities()
     reps = range(spec.replications)
     if n_jobs > 1:
@@ -273,19 +288,18 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
             )
     else:
         records = [_replicate(spec, pi_gen, rep) for rep in reps]
-    stacked = np.stack(records)  # (R, n_beta, _REP_COLS)
+    stacked = np.stack(records)  # (R, n_beta) of _RECORD
 
     theta_true = spec.theta_true.as_array()
-    rel_true = reliability(spec.theta_true, spec.x0, spec.t_eval)
-    mean_true = mean_lifetime(spec.theta_true, spec.x0)
-    is_null = spec.is_null_scenario
+    truths = (
+        ("reliability", reliability(spec.theta_true, spec.x0, spec.t_eval)),
+        ("mean", mean_lifetime(spec.theta_true, spec.x0)),
+    )
 
     rows = np.empty((len(spec.beta_grid), len(METRIC_COLUMNS)))
     for b, beta in enumerate(spec.beta_grid):
-        block = stacked[:, b, :]
-        ok = block[:, _OK] == 1.0
-        used = block[ok]
-        n_used = int(ok.sum())
+        used = stacked[stacked[:, b]["ok"], b]
+        n_used = len(used)
         n_failed = spec.replications - n_used
         rate = n_failed / spec.replications
         if n_used == 0:
@@ -293,68 +307,25 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
             rows[b, :5] = (beta, 0, n_failed, rate, 1.0)
             continue
 
-        err = used[:, _A0 : _ETA + 1] - theta_true
-        sq_comp = err**2
-        rmse_comp = np.sqrt(sq_comp.mean(axis=0))
-        sq_all = sq_comp.sum(axis=1)
-        rmse_all = float(np.sqrt(sq_all.mean()))
+        sq_comp = (used["theta"] - theta_true) ** 2
+        msd, msd_se = _mean_se(sq_comp.sum(axis=1))
+        rmse_all = float(np.sqrt(msd))
+        row = [beta, n_used, n_failed, rate, float(rate > FAILURE_RATE_LIMIT)]
+        row.extend(np.sqrt(sq_comp.mean(axis=0)))
         # delta method: se(sqrt(m)) = se(m) / (2 sqrt(m))
-        rmse_all_se = (
-            float(np.std(sq_all, ddof=1) / np.sqrt(n_used) / (2.0 * rmse_all))
-            if n_used > 1 and rmse_all > 0.0
-            else np.nan
-        )
-
-        sq_rel = (used[:, _REL] - rel_true) ** 2
-        sq_mean = (used[:, _MEAN] - mean_true) ** 2
-        mse_rel = float(sq_rel.mean())
-        mse_mean = float(sq_mean.mean())
-        mse_rel_se = (
-            float(np.std(sq_rel, ddof=1) / np.sqrt(n_used)) if n_used > 1 else np.nan
-        )
-        mse_mean_se = (
-            float(np.std(sq_mean, ddof=1) / np.sqrt(n_used)) if n_used > 1 else np.nan
-        )
-
-        cov_rd = float(_coverage(used[:, _RD_LO], used[:, _RD_HI], rel_true).mean())
-        cov_rt = float(_coverage(used[:, _RT_LO], used[:, _RT_HI], rel_true).mean())
-        cov_md = float(_coverage(used[:, _MD_LO], used[:, _MD_HI], mean_true).mean())
-        cov_mt = float(_coverage(used[:, _MT_LO], used[:, _MT_HI], mean_true).mean())
-
-        reject = float(used[:, _REJ].mean())
-        level = reject if is_null else np.nan
-        level_se = _proportion_se(reject, n_used) if is_null else np.nan
-        power = np.nan if is_null else reject
-        power_se = np.nan if is_null else _proportion_se(reject, n_used)
-
-        rows[b] = (
-            beta,
-            n_used,
-            n_failed,
-            rate,
-            float(rate > FAILURE_RATE_LIMIT),
-            rmse_comp[0],
-            rmse_comp[1],
-            rmse_comp[2],
-            rmse_all,
-            rmse_all_se,
-            mse_rel,
-            mse_rel_se,
-            mse_mean,
-            mse_mean_se,
-            cov_rd,
-            _proportion_se(cov_rd, n_used),
-            cov_rt,
-            _proportion_se(cov_rt, n_used),
-            cov_md,
-            _proportion_se(cov_md, n_used),
-            cov_mt,
-            _proportion_se(cov_mt, n_used),
-            level,
-            level_se,
-            power,
-            power_se,
-        )
+        row.append(rmse_all)
+        row.append(msd_se / (2.0 * rmse_all) if rmse_all > 0.0 else np.nan)
+        for name, true in truths:
+            row.extend(_mean_se((used[name] - true) ** 2))
+        for name, true in truths:
+            for lo, hi in used[f"{name}_ci"].transpose(1, 2, 0):  # direct, transformed
+                covered = float(((lo <= true) & (true <= hi)).mean())
+                row.extend([covered, _proportion_se(covered, n_used)])
+        reject = float(used["reject"].mean())
+        test = [reject, _proportion_se(reject, n_used)]
+        # level when the generating slope satisfies the null, power otherwise
+        row.extend(test + [np.nan] * 2 if spec.is_null_scenario else [np.nan] * 2 + test)
+        rows[b] = row
     return MetricsTable(rows=rows)
 
 

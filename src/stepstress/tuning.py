@@ -43,7 +43,7 @@ class TuningConfig:
             raise ValueError("beta_grid must be a non-empty vector")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("beta_grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise ValueError("beta_grid values must lie in [0, 1]")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")

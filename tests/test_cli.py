@@ -5,6 +5,7 @@ are asserted directly; stdout is captured with capsys.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,16 @@ from stepstress.cli import (
     main,
 )
 from stepstress.datasets import load_dataset
-from stepstress.errors import ConvergenceError
+from stepstress.errors import (
+    ConvergenceError,
+    DataError,
+    NumericError,
+    StepStressError,
+)
 from stepstress.estimation import FitConfig, fit
 from stepstress.influence import influence_report
 from stepstress.lifetime import characteristic_ci, param_ci
+from stepstress.montecarlo import load_scenario, run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -381,12 +388,37 @@ class TestSimulate:
         assert rows.shape[0] == 12  # 2 sweep values x 6 betas
         np.testing.assert_array_equal(np.unique(rows[:, 0]), [6.0, 8.0])
 
+    def test_sweep_rows_are_the_swept_tables_bit_for_bit(self, capsys):
+        code, out = run_cli(
+            capsys, "simulate", "--scenario", "contaminated_a0",
+            "--replications", "2", "--sweep", "a0=6,8",
+        )
+        assert code == EXIT_OK
+        body = [line for line in out.splitlines() if not line.startswith("# ")]
+        spec = replace(load_scenario("contaminated_a0"), replications=2)
+        expected = []
+        for value in (6.0, 8.0):
+            swept = replace(spec, theta_tilde=replace(spec.theta_tilde, a0=value))
+            table = run_scenario(swept).to_csv().splitlines()
+            expected.extend(f"{value!r},{line}" for line in table[1:])
+        assert body[0] == "sweep_a0," + table[0]
+        assert body[1:] == expected
+
     def test_sweep_validation(self, capsys):
         code, _ = run_cli(
             capsys, "simulate", "--scenario", "clean", "--replications", "2",
             "--sweep", "b0=1,2",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("sweep", ["a0=", "a0= ,"])
+    def test_sweep_without_values_is_usage_error(self, capsys, sweep):
+        code, out = run_cli(
+            capsys, "simulate", "--scenario", "clean", "--replications", "2",
+            "--sweep", sweep,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_unknown_scenario(self, capsys):
         code, _ = run_cli(capsys, "simulate", "--scenario", "missing")
@@ -500,6 +532,75 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert code == EXIT_NUMERIC
             assert "ill-conditioned" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--data", "solar", "--beta", "nan"),
+            ("fit", "--data", "solar", "--beta", "0,inf"),
+            ("ci", "--data", "solar", "--beta", "nan"),
+            ("test", "--data", "solar", "--beta", "inf", "--constraint", "0,0,1,1"),
+            ("influence", "--data", "solar", "--beta", "inf"),
+            ("tune", "--data", "solar", "--grid", "nan,0.5"),
+        ],
+    )
+    def test_non_finite_beta_is_usage_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out = run_cli(
+            capsys, "simulate", "--scenario", "clean", "--replications", "2",
+            "--jobs", jobs,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_malformed_dataset_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad_total.txt"
+        path.write_text(
+            "# name: bad_total\n# kind: counts\n# n_total: 3five\n"
+            "# time_unit: h\n# stress_unit: K\n# stress_levels: 293 353\n"
+            "# change_times: 5 6\n# inspection_times: 1.5 3 5 5.2 5.4 6\n"
+            "# use_stress: 293\n# normalization: minmax\n"
+            "# analysis: as-recorded\n1\n1\n1\n1\n1\n1\n1\n"
+        )
+        code = main(["fit", "--data", str(path), "--beta", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert str(path) in err
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (DataError("boom"), EXIT_DATA),
+            (ConvergenceError("boom"), EXIT_CONVERGENCE),
+            (NumericError("boom"), EXIT_NUMERIC),
+            (StepStressError("boom"), 1),
+            (cli.UsageError("boom"), EXIT_USAGE),
+            (ValueError("boom"), EXIT_USAGE),
+            (OSError("boom"), EXIT_DATA),
+        ],
+    )
+    def test_each_failure_has_its_exit_code(
+        self, capsys, monkeypatch, error, expected
+    ):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "fit", failing)
+        code, out = run_cli(capsys, "fit", "--data", "solar", "--beta", "0")
+        assert code == expected
+        assert out == ""
+
+    def test_unwritable_output_is_data_error(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "fit.csv"
+        code = main(["fit", "--data", "solar", "--beta", "0", "--output", str(target)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert str(target) in err
 
     def test_help_exits_zero(self, capsys):
         code = main(["--help"])

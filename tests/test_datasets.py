@@ -122,6 +122,27 @@ class TestNormalizeStress:
         assert str(path) in str(info.value)
 
 
+class TestMalformedFile:
+    @pytest.mark.parametrize(
+        "printed, replacement",
+        [
+            ("# n_total: 7", "# n_total: 3five"),
+            ("as-recorded\n1\n", "as-recorded\n1.2x\n"),
+            ("# stress_levels: 293.0 353.0", "# stress_levels: 353.0 293.0"),
+        ],
+    )
+    def test_bad_value_is_data_error_naming_the_file(
+        self, tmp_path, printed, replacement
+    ):
+        path = _stress_file(tmp_path, SOLAR_RAW_PLAN, 293.0)
+        text = path.read_text()
+        assert printed in text
+        path.write_text(text.replace(printed, replacement))
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value).count(str(path)) == 1
+
+
 class TestNormalizationMap:
     def test_requires_increasing_references(self):
         with pytest.raises(ValueError):

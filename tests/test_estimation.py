@@ -383,6 +383,11 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             FitConfig(multistart=0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_non_finite_beta_raises(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            FitConfig(beta=beta)
+
     def test_config_holds_only_beta_and_multistart(self):
         assert [f.name for f in fields(FitConfig)] == ["beta", "multistart"]
 

@@ -160,6 +160,8 @@ class TestScenarioSpec:
             ({"contaminated_cell": 3}, "together"),
             ({"beta_grid": ()}, "beta_grid"),
             ({"beta_grid": (-0.1, 0.5)}, "beta_grid"),
+            ({"beta_grid": (np.nan, 0.5)}, "finite"),
+            ({"beta_grid": (0.0, np.inf)}, "finite"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -312,6 +314,12 @@ class TestRunScenario:
         spec, tab = small_table
         parallel = run_scenario(spec, n_jobs=4)
         assert parallel.to_csv() == tab.to_csv()
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_jobs_below_one_raise(self, small_table, n_jobs):
+        spec, _ = small_table
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_scenario(spec, n_jobs=n_jobs)
 
     def test_rerun_is_deterministic(self, small_table):
         spec, tab = small_table

@@ -207,6 +207,11 @@ class TestSelectBeta:
         with pytest.raises(ValueError, match="max_rounds"):
             TuningConfig(max_rounds=0)
 
+    @pytest.mark.parametrize("grid", [(np.nan, 0.5), (0.0, np.nan, 1.0)])
+    def test_nan_in_grid_raises(self, grid):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            TuningConfig(beta_grid=grid)
+
     def test_single_point_grid(self):
         pi = cell_probabilities(SIM_THETA, SIM_PLAN)
         result = select_beta(

@@ -202,9 +202,9 @@ def load_dataset(name_or_path: str | Path) -> DatasetBundle:
         origin = str(path)
     try:
         return _build_bundle(*_parse_dataset_text(text, origin), origin=origin)
-    except DataError:
-        raise
-    except ValueError as exc:  # a bad number or design the parser did not name
+    except ValueError as exc:  # DataError included: name the file exactly once
+        if isinstance(exc, DataError) and str(exc).startswith(origin):
+            raise
         raise DataError(f"{origin}: {exc}") from exc
 
 

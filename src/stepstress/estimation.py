@@ -11,10 +11,16 @@ per observation, so Var(theta_hat) is approximately covariance / N.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import optimize
 
 from .errors import DataError, NumericError
@@ -211,6 +217,71 @@ def invert_information(j: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.pinv(sym, rcond=1.0 / CONDITION_LIMIT, hermitian=True), True
 
 
+@functools.cache
+def _scipy_openblas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS in scipy's wheel, or None.
+
+    scipy's L-BFGS-B runs its tiny dense algebra on that library, which
+    otherwise wakes a spinning worker thread on every call and keeps a
+    second core busy for no speed-up. Wheels put the library in
+    ``scipy.libs/`` (Linux, Windows) or ``scipy/.dylibs/`` (macOS); it is
+    looked up on the first fit, not at import. Builds against any other
+    BLAS have no such library.
+    """
+    package = Path(scipy.__file__).resolve().parent
+    for folder in (package.parent / "scipy.libs", package / ".dylibs"):
+        for path in sorted(folder.glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = lib.scipy_openblas_get_num_threads
+                set_ = lib.scipy_openblas_set_num_threads
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _ScipyBlasThreads:
+    """Thread count of scipy's OpenBLAS, shared by every fit in the process."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    @contextmanager
+    def single(self):
+        """Run the block with one OpenBLAS thread, then restore the caller's count.
+
+        Nested and concurrent blocks share one saved count, restored when
+        the last of them exits. Without scipy's OpenBLAS this does nothing.
+        Results do not depend on the thread count, only the CPU time spent
+        reaching them.
+        """
+        functions = _scipy_openblas_threads()
+        if functions is None:
+            yield
+            return
+        get, set_ = functions
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    set_(self._saved)
+
+
+_SCIPY_BLAS = _ScipyBlasThreads()
+
+
 def _quiet_params(a0: float, a1: float, eta: float) -> ModelParams:
     """ModelParams without the a1 >= 0 warning, for optimizer internals."""
     if a1 < 0:  # ModelParams warns only on a1 >= 0
@@ -352,20 +423,21 @@ def fit_proportions(
 
     best_u = None
     best_value = np.inf
-    for start in _starting_points(plan, p_hat, config.multistart):
-        outcome = attempt(start)
-        if outcome is not None and outcome[0] < best_value:
-            best_value, best_u = outcome
-
-    if best_u is None or best_value >= _INFEASIBLE:
-        # every configured start failed (possible with a single start on
-        # awkward draws); retry from wider, still deterministic spreads
-        pilot = _pilot_start(plan, p_hat)
-        rescue_rng = np.random.default_rng(1730)
-        for _ in range(8):
-            outcome = attempt(pilot + rescue_rng.normal(0.0, 1.0, size=3))
+    with _SCIPY_BLAS.single():
+        for start in _starting_points(plan, p_hat, config.multistart):
+            outcome = attempt(start)
             if outcome is not None and outcome[0] < best_value:
                 best_value, best_u = outcome
+
+        if best_u is None or best_value >= _INFEASIBLE:
+            # every configured start failed (possible with a single start on
+            # awkward draws); retry from wider, still deterministic spreads
+            pilot = _pilot_start(plan, p_hat)
+            rescue_rng = np.random.default_rng(1730)
+            for _ in range(8):
+                outcome = attempt(pilot + rescue_rng.normal(0.0, 1.0, size=3))
+                if outcome is not None and outcome[0] < best_value:
+                    best_value, best_u = outcome
 
     if best_u is None or best_value >= _INFEASIBLE:
         raise NumericError("all optimizer starts were infeasible")

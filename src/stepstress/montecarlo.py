@@ -396,6 +396,6 @@ def load_scenario(name_or_path) -> ScenarioSpec:
             ev = parser["evaluate"]
             kwargs["x0"] = float(ev.get("x0", "20"))
             kwargs["t_eval"] = float(ev.get("t", "40"))
+        return ScenarioSpec(**kwargs)
     except (KeyError, ValueError) as exc:
         raise DataError(f"invalid scenario file {origin}: {exc}") from exc
-    return ScenarioSpec(**kwargs)

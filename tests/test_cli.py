@@ -6,6 +6,7 @@ are asserted directly; stdout is captured with capsys.
 
 import json
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -571,6 +572,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert str(path) in err
+
+    def test_invalid_raw_times_name_the_file(self, capsys, tmp_path):
+        path = tmp_path / "negative_time.txt"
+        path.write_text(
+            "# name: negative_time\n# kind: times\n# n_total: 3\n"
+            "# time_unit: h\n# stress_unit: K\n# stress_levels: 293 353\n"
+            "# change_times: 5 6\n# inspection_times: 1.5 3 5 5.2 5.4 6\n"
+            "# use_stress: 293\n# normalization: minmax\n"
+            "# analysis: as-recorded\n1.0\n-2.0\n4.0\n"
+        )
+        code = main(["fit", "--data", str(path), "--beta", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "failure times must be positive" in err
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "setting, replacement",
+        [
+            ("replications = 500", "replications = 0"),
+            ("beta_grid = 0 0.2 0.4 0.6 0.8 1", "beta_grid = 0 nan 1"),
+        ],
+    )
+    def test_invalid_scenario_file_names_the_file(
+        self, capsys, tmp_path, setting, replacement
+    ):
+        text = (
+            resources.files("stepstress")
+            .joinpath("data", "scenarios", "clean.ini")
+            .read_text(encoding="utf-8")
+        )
+        assert setting in text
+        path = tmp_path / "clean_copy.ini"
+        path.write_text(text.replace(setting, replacement))
+        code = main(["simulate", "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.out == ""
+        assert f"invalid scenario file {path}" in captured.err
 
     @pytest.mark.parametrize(
         "error, expected",

@@ -129,6 +129,7 @@ class TestMalformedFile:
             ("# n_total: 7", "# n_total: 3five"),
             ("as-recorded\n1\n", "as-recorded\n1.2x\n"),
             ("# stress_levels: 293.0 353.0", "# stress_levels: 353.0 293.0"),
+            ("# kind: counts", "# kind: both"),
         ],
     )
     def test_bad_value_is_data_error_naming_the_file(
@@ -139,6 +140,15 @@ class TestMalformedFile:
         assert printed in text
         path.write_text(text.replace(printed, replacement))
         with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_raw_data_error_names_the_file(self, tmp_path):
+        # RawLifetimeData does not know the file; load_dataset adds it
+        path = _stress_file(tmp_path, SOLAR_RAW_PLAN, 293.0)
+        text = path.read_text().replace("# kind: counts", "# kind: times")
+        path.write_text(text.replace("as-recorded\n1\n", "as-recorded\n-2.0\n"))
+        with pytest.raises(DataError, match="failure times must be positive") as info:
             load_dataset(path)
         assert str(info.value).count(str(path)) == 1
 

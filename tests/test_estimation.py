@@ -7,15 +7,19 @@ finite differences, parameter equivariances, and Monte Carlo agreement of
 the sandwich covariance.
 """
 
+import os
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stepstress.estimation as estimation
 from stepstress.datasets import load_dataset
-from stepstress.errors import DataError
+from stepstress.errors import DataError, NumericError
 from stepstress.estimation import (
     FitConfig,
     FitResult,
@@ -419,3 +423,71 @@ class TestFitValidation:
         np.testing.assert_allclose(
             result.params.as_array(), SIM_THETA.as_array(), atol=1e-6
         )
+
+
+# ---------------------------------------------------------------------------
+# scipy's OpenBLAS runs the solver loop on one thread
+
+
+def _scipy_blas_threads():
+    functions = estimation._scipy_openblas_threads()
+    if functions is None:
+        pytest.skip("scipy is not built against its bundled OpenBLAS")
+    return functions
+
+
+@pytest.fixture
+def caller_threads():
+    """Give scipy's OpenBLAS two threads for the test, then restore its count."""
+    get, set_ = _scipy_blas_threads()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestScipyBlasScope:
+    def test_library_found_when_scipy_uses_its_openblas(self):
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"scipy is built against {blas['name']}")
+        assert estimation._scipy_openblas_threads() is not None
+
+    def test_one_thread_inside_the_solver_and_restored_after(
+        self, monkeypatch, caller_threads
+    ):
+        seen = []
+        minimize = estimation.optimize.minimize
+
+        def recording(*args, **kwargs):
+            seen.append(caller_threads())
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimation.optimize, "minimize", recording)
+        fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3))
+        assert seen and set(seen) == {1}
+        assert caller_threads() == 2
+
+    def test_restored_after_a_failed_fit(self, monkeypatch, caller_threads):
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(caller_threads())
+            raise ValueError("no solution")
+
+        monkeypatch.setattr(estimation.optimize, "minimize", failing)
+        with pytest.raises(NumericError, match="infeasible"):
+            fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3))
+        # five starts plus the eight rescue starts, all on one thread
+        assert seen == [1] * 13
+        assert caller_threads() == 2
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+    def test_fits_keep_one_core_busy(self):
+        _scipy_blas_threads()
+        fit(SOLAR_PLAN, SOLAR_DATA)  # warm-up: library lookup and imports
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(20):
+            fit(SOLAR_PLAN, SOLAR_DATA)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        assert cpu <= 1.4 * wall

@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -411,18 +410,14 @@ def _parse_sweep(raw: str):
 
 def _swept_spec(spec, parameter: str, value: float):
     base = spec.theta_tilde if spec.theta_tilde is not None else spec.theta_true
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tilde = replace(base, **{parameter: float(value)})
+    tilde = replace(base, **{parameter: float(value)})
     cell = spec.contaminated_cell if spec.contaminated_cell is not None else 3
     return replace(spec, theta_tilde=tilde, contaminated_cell=cell)
 
 
 def cmd_datasets(args) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bundles = [load_dataset(name) for name in BUNDLED_DATASETS]
-        specs = [load_scenario(name) for name in BUNDLED_SCENARIOS]
+    bundles = [load_dataset(name) for name in BUNDLED_DATASETS]
+    specs = [load_scenario(name) for name in BUNDLED_SCENARIOS]
     entries = [
         {
             "name": name,

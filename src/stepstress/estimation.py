@@ -41,6 +41,7 @@ __all__ = [
     "fit",
     "fit_proportions",
     "invert_information",
+    "sandwich_covariance",
     "sandwich_matrices",
     "CONDITION_LIMIT",
     "PROBABILITY_FLOOR",
@@ -98,8 +99,7 @@ class FitResult:
     ill_conditioned is set when the J matrix had to be pseudo-inverted
     (condition number beyond CONDITION_LIMIT). The pseudo-inverse gives the
     unidentified direction zero variance, so intervals and tests from such
-    a fit would be falsely sharp; param_ci, characteristic_ci and
-    wald_statistic refuse it with NumericError.
+    a fit would be falsely sharp; see require_usable.
     """
 
     params: ModelParams
@@ -110,6 +110,21 @@ class FitResult:
     grad_norm: float
     n_devices: int
     ill_conditioned: bool = False
+
+    def require_usable(self, action: str) -> None:
+        """Refuse to back intervals or tests with a fit that cannot carry them.
+
+        ``action`` completes the message, as in "build intervals from". A
+        non-converged fit raises ValueError; an ill-conditioned one raises
+        NumericError, because its covariance is falsely sharp.
+        """
+        if not self.converged:
+            raise ValueError(f"cannot {action} a non-converged fit")
+        if self.ill_conditioned:
+            raise NumericError(
+                f"cannot {action} an ill-conditioned fit: the "
+                "parameters are not identified by these data"
+            )
 
     @property
     def standard_errors(self) -> np.ndarray:
@@ -199,6 +214,21 @@ def sandwich_matrices(
     return 0.5 * (j + j.T), 0.5 * (k + k.T)
 
 
+def sandwich_covariance(
+    params: ModelParams, plan: StressPlan, beta: float
+) -> tuple[np.ndarray, bool]:
+    """The symmetrized per-observation covariance J^-1 K J^-1 at params.
+
+    Returns (covariance, ill_conditioned), the flag as invert_information
+    sets it. Fits, power approximations and influence forms all take their
+    covariance from here.
+    """
+    j, k = sandwich_matrices(params, plan, beta)
+    j_inv, ill_conditioned = invert_information(j)
+    covariance = j_inv @ k @ j_inv
+    return 0.5 * (covariance + covariance.T), ill_conditioned
+
+
 def invert_information(j: np.ndarray) -> tuple[np.ndarray, bool]:
     """Inverse of the J matrix, or its pseudo-inverse when J is ill-conditioned.
 
@@ -282,15 +312,6 @@ class _ScipyBlasThreads:
 _SCIPY_BLAS = _ScipyBlasThreads()
 
 
-def _quiet_params(a0: float, a1: float, eta: float) -> ModelParams:
-    """ModelParams without the a1 >= 0 warning, for optimizer internals."""
-    if a1 < 0:  # ModelParams warns only on a1 >= 0
-        return ModelParams(a0, a1, eta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParameterSpaceWarning)
-        return ModelParams(a0, a1, eta)
-
-
 def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     """Data-driven start: least squares on the unit-shape cumulative hazard.
 
@@ -349,7 +370,8 @@ def fit_proportions(
 
     The workhorse behind fit; also the entry point for idealized inputs
     such as exact model probabilities or contaminated mixtures, where the
-    proportions do not come from integer counts.
+    proportions do not come from integer counts. An estimate with a1 >= 0
+    is returned with a ParameterSpaceWarning.
     """
     config = config or FitConfig()
     p_hat = np.asarray(p_hat, dtype=float)
@@ -362,7 +384,7 @@ def fit_proportions(
     beta = config.beta
 
     def unpack(u: np.ndarray) -> ModelParams:
-        return _quiet_params(u[0], u[1], float(np.exp(u[2])))
+        return ModelParams(u[0], u[1], float(np.exp(u[2])))
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
         with np.errstate(all="ignore"):
@@ -442,16 +464,18 @@ def fit_proportions(
     if best_u is None or best_value >= _INFEASIBLE:
         raise NumericError("all optimizer starts were infeasible")
 
-    params = ModelParams(best_u[0], best_u[1], float(np.exp(best_u[2])))
+    params = unpack(best_u)
+    if params.a1 >= 0:
+        warnings.warn(
+            "a1 >= 0: lifetimes do not shorten with stress",
+            ParameterSpaceWarning,
+            stacklevel=2,
+        )
     residual = _cells_and_residual(params, plan, p_hat, beta)[1]
     grad_norm = float(np.linalg.norm(residual))
     converged = grad_norm <= _GRAD_TOL
 
-    j, k = sandwich_matrices(params, plan, beta)
-    j_inv, ill_conditioned = invert_information(j)
-    covariance = j_inv @ k @ j_inv
-    covariance = 0.5 * (covariance + covariance.T)
-
+    covariance, ill_conditioned = sandwich_covariance(params, plan, beta)
     return FitResult(
         params=params,
         beta=beta,

@@ -21,15 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import PROBABILITY_FLOOR, invert_information, sandwich_matrices
-from .model import (
-    ModelParams,
-    StressPlan,
-    cell_probabilities,
-    gradient_matrix,
-    shift_terms,
+from .estimation import (
+    estimating_residual,
+    invert_information,
+    sandwich_covariance,
+    sandwich_matrices,
 )
-from .wald import Constraint, _inner_matrix, _sigma_at, _solve_inner
+from .model import IntervalData, ModelParams, StressPlan, shift_terms
+from .model import cell_probabilities, gradient_matrix  # noqa: F401 -- wrapped by bench/tracing.py
+from .wald import Constraint, _inner_matrix, _solve_inner
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,16 @@ class IFReport:
     ill_conditioned: bool
 
 
-def _check_cell(plan: StressPlan, cell: int) -> int:
-    cell = int(cell)
-    if not 1 <= cell <= plan.n_cells:
-        raise ValueError(
-            f"cell must be a 1-based index in [1, {plan.n_cells}], got {cell}"
-        )
-    return cell
-
-
 def _influence(
     params: ModelParams, plan: StressPlan, beta: float, cell: int
 ) -> tuple[np.ndarray, bool]:
-    """IF of the parameter estimate, and whether J was pseudo-inverted."""
-    cell = _check_cell(plan, cell)
-    pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-    w = gradient_matrix(params, plan)
-    delta = np.zeros(plan.n_cells)
-    delta[cell - 1] = 1.0
-    score = w.T @ (pi ** (beta - 1.0) * (delta - pi))
+    """IF at a checked 1-based cell, and whether J was pseudo-inverted.
+
+    The score is the estimating equations evaluated at the point mass e_n.
+    """
+    point_mass = np.zeros(plan.n_cells)
+    point_mass[cell - 1] = 1.0
+    score = estimating_residual(params, plan, IntervalData(point_mass, 1), beta)
     j, _ = sandwich_matrices(params, plan, beta)
     j_inv, ill_conditioned = invert_information(j)
     return j_inv @ score, ill_conditioned
@@ -70,7 +61,7 @@ def if_mdpde(
     params: ModelParams, plan: StressPlan, beta: float, cell: int
 ) -> np.ndarray:
     """IF of the parameter estimate at a point mass on the given cell."""
-    vector, ill_conditioned = _influence(params, plan, beta, cell)
+    vector, ill_conditioned = _influence(params, plan, beta, plan.check_cell(cell))
     if ill_conditioned:
         warnings.warn(
             "information matrix is ill-conditioned; influence computed "
@@ -93,10 +84,11 @@ def wald_quadratic_form(
 
     This is the second-order influence of the Wald-type statistic seen as
     a function of the estimator's influence vector; it is a positive
-    semi-definite quadratic form.
+    semi-definite quadratic form. Like the IF itself, it is evaluated with
+    a pseudo-inverse where J is ill-conditioned; influence_report flags that.
     """
     v = np.asarray(if_vector, dtype=float).reshape(3)
-    inner = _inner_matrix(constraint, _sigma_at(params, plan, beta))
+    inner = _inner_matrix(constraint, sandwich_covariance(params, plan, beta)[0])
     proj = constraint.coefficients @ v
     return max(2.0 * n_devices * float(proj @ _solve_inner(inner, proj)), 0.0)
 
@@ -131,7 +123,7 @@ def if_wald_first_order(
     """
     vector = if_mdpde(params, plan, beta, cell)
     m_val = constraint.value(params)
-    inner = _inner_matrix(constraint, _sigma_at(params, plan, beta))
+    inner = _inner_matrix(constraint, sandwich_covariance(params, plan, beta)[0])
     proj = constraint.coefficients @ vector
     return 2.0 * n_devices * float(m_val @ _solve_inner(inner, proj))
 
@@ -145,7 +137,7 @@ def influence_report(
     n_devices: int = 1,
 ) -> IFReport:
     """Bundle the parameter IF (and optionally the Wald form) for a cell."""
-    cell = _check_cell(plan, cell)
+    cell = plan.check_cell(cell)
     vector, ill = _influence(params, plan, beta, cell)
     second = None
     if constraint is not None:

@@ -8,16 +8,17 @@ evaluates three summaries of that distribution:
 * ``quantile(q)`` — time by which reliability has dropped to q;
 * ``mean_lifetime()`` — expected lifetime ``alpha_0 * Gamma(1 + 1/eta)``.
 
-Each has a closed-form gradient in (a0, a1, eta), so the sandwich
-covariance of the fit propagates by the delta method. Two interval styles
-are produced: the direct ``value ± z * se`` interval, and a transformed
-interval that respects the characteristic's range — logit scale for
-reliability, log scale for quantile and mean — so endpoints never need
-truncation.
+``characteristic`` returns each one's value together with its closed-form
+gradient in (a0, a1, eta), so the sandwich covariance of the fit
+propagates by the delta method. Two interval styles are produced: the
+direct ``value ± z * se`` interval, and a transformed interval that
+respects the characteristic's range — logit scale for reliability, log
+scale for quantile and mean — so endpoints never need truncation.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,10 +56,7 @@ class CharacteristicEstimate:
 
 def reliability(params: ModelParams, x0: float, t: float) -> float:
     """Probability that a device at stress x0 survives past time t."""
-    if t <= 0:
-        raise ValueError("mission time t must be positive")
-    u = (t / scale_at_level(params, x0)) ** params.eta
-    return float(np.exp(-u))
+    return characteristic(params, x0, "reliability", t)[0]
 
 
 def quantile(params: ModelParams, x0: float, level: float) -> float:
@@ -69,7 +67,7 @@ def quantile(params: ModelParams, x0: float, level: float) -> float:
     """
     if not 0.0 < level < 1.0:
         raise ValueError("reliability level must lie strictly in (0, 1)")
-    return scale_at_level(params, x0) * (-np.log(level)) ** (1.0 / params.eta)
+    return float(scale_at_level(params, x0) * (-np.log(level)) ** (1.0 / params.eta))
 
 
 def mean_lifetime(params: ModelParams, x0: float) -> float:
@@ -77,26 +75,29 @@ def mean_lifetime(params: ModelParams, x0: float) -> float:
     return scale_at_level(params, x0) * float(gamma(1.0 + 1.0 / params.eta))
 
 
-def characteristic_gradient(
+def characteristic(
     params: ModelParams, x0: float, kind: str, extra: float | None = None
-) -> np.ndarray:
-    """Gradient in (a0, a1, eta) of the requested characteristic."""
+) -> tuple[float, np.ndarray]:
+    """Value of the requested characteristic and its gradient in (a0, a1, eta)."""
     eta = params.eta
     if kind == "reliability":
         t = _require_extra(kind, extra)
         alpha0 = scale_at_level(params, x0)
-        u = (t / alpha0) ** eta
-        r = np.exp(-u)
-        return r * u * np.array([eta, eta * x0, -np.log(t / alpha0)])
+        try:
+            u = (t / alpha0) ** eta
+        except OverflowError:
+            raise NumericError(f"reliability at t={t:g} overflowed") from None
+        r = float(np.exp(-u))
+        return r, r * u * np.array([eta, eta * x0, -np.log(t / alpha0)])
     if kind == "quantile":
         q = _require_extra(kind, extra)
         value = quantile(params, x0, q)
-        return value * np.array([1.0, x0, -np.log(-np.log(q)) / eta**2])
+        return value, value * np.array([1.0, x0, -np.log(-np.log(q)) / eta**2])
     if kind == "mean":
         if extra is not None:
             raise ValueError("mean lifetime takes no extra argument")
         value = mean_lifetime(params, x0)
-        return value * np.array([1.0, x0, -psi(1.0 + 1.0 / eta) / eta**2])
+        return value, value * np.array([1.0, x0, -psi(1.0 + 1.0 / eta) / eta**2])
     raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
 
 
@@ -109,26 +110,6 @@ def _require_extra(kind: str, extra: float | None) -> float:
     if kind == "quantile" and not 0.0 < extra < 1.0:
         raise ValueError("reliability level must lie strictly in (0, 1)")
     return extra
-
-
-def _point_value(params, x0, kind, extra):
-    if kind == "reliability":
-        return reliability(params, x0, _require_extra(kind, extra))
-    if kind == "quantile":
-        return quantile(params, x0, _require_extra(kind, extra))
-    if kind == "mean":
-        return mean_lifetime(params, x0)
-    raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
-
-
-def _check_fit(fit: FitResult) -> None:
-    if not fit.converged:
-        raise ValueError("cannot build intervals from a non-converged fit")
-    if fit.ill_conditioned:
-        raise NumericError(
-            "cannot build intervals from an ill-conditioned fit: the "
-            "parameters are not identified by these data"
-        )
 
 
 def _check_extrapolation(plan: StressPlan | None, x0: float) -> None:
@@ -156,16 +137,15 @@ def characteristic_ci(
     """Point estimate with direct and range-respecting CIs.
 
     ``plan`` is only consulted to warn when x0 lies outside the tested
-    stress range; pass None to skip that check.
+    stress range; pass None to skip that check. An interval with an
+    endpoint that overflows raises NumericError.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
-    _check_fit(fit)
+    fit.require_usable("build intervals from")
     _check_extrapolation(plan, x0)
 
-    params = fit.params
-    value = float(_point_value(params, x0, kind, extra))
-    grad = characteristic_gradient(params, x0, kind, extra)
+    value, grad = characteristic(fit.params, x0, kind, extra)
     var = float(grad @ fit.covariance @ grad)
     if var < -1e-10 * max(1.0, float(np.abs(grad).max()) ** 2):
         raise NumericError("covariance is not positive semi-definite")
@@ -173,13 +153,18 @@ def characteristic_ci(
     z = ndtri(0.5 + confidence / 2.0)
 
     ci_direct = (value - z * se, value + z * se)
-    if kind == "reliability":
-        r = min(max(value, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
-        spread = np.exp(z * se / (r * (1.0 - r)))
-        ci_transformed = (r / (r + (1.0 - r) * spread), r / (r + (1.0 - r) / spread))
-    else:
-        ratio = z * se / value if value > 0 else 0.0
-        ci_transformed = (value * np.exp(-ratio), value * np.exp(ratio))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        if kind == "reliability":
+            r = min(max(value, _LOGIT_CLIP), 1.0 - _LOGIT_CLIP)
+            spread = np.exp(z * se / (r * (1.0 - r)))
+            ci_transformed = (r / (r + (1.0 - r) * spread), r / (r + (1.0 - r) / spread))
+        else:
+            ratio = z * se / value if value > 0 else 0.0
+            ci_transformed = (value * np.exp(-ratio), value * np.exp(ratio))
+    if not all(map(math.isfinite, (value, se, *ci_direct, *ci_transformed))):
+        raise NumericError(
+            f"the {kind} interval overflows: the fit leaves it unbounded"
+        )
 
     return CharacteristicEstimate(
         kind=kind,
@@ -197,7 +182,7 @@ def param_ci(fit: FitResult, confidence: float = 0.95) -> np.ndarray:
     """Direct CIs for (a0, a1, eta) as a (3, 2) array of (lo, hi) rows."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
-    _check_fit(fit)
+    fit.require_usable("build intervals from")
     z = ndtri(0.5 + confidence / 2.0)
     center = fit.params.as_array()
     half = z * fit.standard_errors

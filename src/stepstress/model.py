@@ -17,7 +17,6 @@ W matrix), which every estimation and diagnostic routine builds on.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,14 +117,23 @@ class StressPlan:
         """Number of observation cells: one per inspection interval plus survivors."""
         return len(self.inspection_times) + 1
 
+    def check_cell(self, cell: int) -> int:
+        """The 1-based cell index as an int; ValueError when out of range."""
+        cell = int(cell)
+        if not 1 <= cell <= self.n_cells:
+            raise ValueError(
+                f"cell must be a 1-based index in [1, {self.n_cells}], got {cell}"
+            )
+        return cell
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: log-scale intercept a0, slope a1, Weibull shape eta.
 
     The physically meaningful space has a1 < 0 (higher stress shortens
-    life); a1 >= 0 is accepted with a warning so that fits on pathological
-    data still report what they found.
+    life); a1 >= 0 is accepted so that fits on pathological data still
+    report what they found, and the fit warns about it.
     """
 
     a0: float
@@ -140,12 +148,6 @@ class ModelParams:
             object.__setattr__(self, name, float(v))
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.a1 >= 0:
-            warnings.warn(
-                "a1 >= 0: lifetimes do not shorten with stress",
-                ParameterSpaceWarning,
-                stacklevel=2,
-            )
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.eta])

@@ -168,11 +168,7 @@ def contaminate(
         raise DataError(
             f"pi has {pi.shape} cells, plan implies ({plan.n_cells},)"
         )
-    cell = int(cell)
-    if not 1 <= cell <= plan.n_cells:
-        raise ValueError(
-            f"cell must be a 1-based index in [1, {plan.n_cells}], got {cell}"
-        )
+    cell = plan.check_cell(cell)
     if not 2 <= cell <= plan.n_cells - 1:
         warnings.warn(
             "contaminating a boundary cell (first or survivor); the usual "

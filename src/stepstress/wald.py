@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import chdtr, chdtri, chndtr, ndtr
 
 from .errors import NumericError
-from .estimation import FitResult, invert_information, sandwich_matrices
+from .estimation import FitResult, sandwich_covariance
+from .estimation import sandwich_matrices  # noqa: F401 -- wrapped by bench/tracing.py
 from .model import ModelParams, StressPlan
 
 # rank test threshold: smallest singular value relative to the largest
@@ -81,11 +82,15 @@ def linear_constraint(coefficients, d=0.0) -> Constraint:
     return Constraint(coefficients=c, d=rhs)
 
 
-def _sigma_at(params: ModelParams, plan: StressPlan, beta: float) -> np.ndarray:
-    j, k = sandwich_matrices(params, plan, beta)
-    j_inv, _ = invert_information(j)
-    sigma = j_inv @ k @ j_inv
-    return 0.5 * (sigma + sigma.T)
+def _identified_sigma(params: ModelParams, plan: StressPlan, beta: float) -> np.ndarray:
+    """Sandwich covariance at params; NumericError where J is ill-conditioned."""
+    sigma, ill_conditioned = sandwich_covariance(params, plan, beta)
+    if ill_conditioned:
+        raise NumericError(
+            "cannot approximate power at an ill-conditioned point: the "
+            "parameters are not identified by this plan"
+        )
+    return sigma
 
 
 def _inner_matrix(constraint: Constraint, sigma: np.ndarray) -> np.ndarray:
@@ -118,13 +123,7 @@ def wald_statistic(fit: FitResult, constraint: Constraint) -> TestResult:
     the unidentified direction zero variance, which would make the
     statistic arbitrarily large.
     """
-    if not fit.converged:
-        raise ValueError("cannot test hypotheses on a non-converged fit")
-    if fit.ill_conditioned:
-        raise NumericError(
-            "cannot test hypotheses on an ill-conditioned fit: the "
-            "parameters are not identified by these data"
-        )
+    fit.require_usable("test hypotheses on")
     m_val = constraint.value(fit.params)
     inner = _inner_matrix(constraint, fit.covariance)
     statistic = float(fit.n_devices * m_val @ _solve_inner(inner, m_val))
@@ -150,7 +149,8 @@ def asymptotic_power(
     Valid for alternatives off the null: C theta* - d must be nonzero. The
     statistic over N, l(theta) = m' A^{-1} m with m = C theta - d and
     A = C Sigma(theta*) C' held fixed, is approximately normal with
-    gradient 2 C' A^{-1} m.
+    gradient 2 C' A^{-1} m. An ill-conditioned J at theta* raises
+    NumericError, as it does in contiguous_power.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly in (0, 1)")
@@ -162,7 +162,7 @@ def asymptotic_power(
             "theta_star satisfies the null; the fixed-alternative "
             "approximation is undefined there"
         )
-    sigma = _sigma_at(theta_star, plan, beta)
+    sigma = _identified_sigma(theta_star, plan, beta)
     weighted = _solve_inner(_inner_matrix(constraint, sigma), m_star)
     ell_star = float(m_star @ weighted)
     grad = 2.0 * constraint.coefficients.T @ weighted
@@ -196,7 +196,7 @@ def contiguous_power(
         raise ValueError("alpha must lie strictly in (0, 1)")
     if np.linalg.norm(constraint.value(theta0)) > 1e-8:
         raise ValueError("theta0 must satisfy the null hypothesis")
-    inner = _inner_matrix(constraint, _sigma_at(theta0, plan, beta))
+    inner = _inner_matrix(constraint, _identified_sigma(theta0, plan, beta))
     if d is not None:
         shift = constraint.coefficients @ np.asarray(d, dtype=float).reshape(3)
     else:

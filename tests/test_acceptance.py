@@ -497,9 +497,6 @@ class TestCriterion10RmseCrossover:
             table.row(1.0)["rmse_overall"] < table.row(0.0)["rmse_overall"]
         )
 
-    # the perturbed model in this scenario deliberately has a1 = 0, which
-    # the parameter container flags as non-shortening lifetimes
-    @pytest.mark.filterwarnings("ignore::stepstress.model.ParameterSpaceWarning")
     def test_slope_contamination(self):
         table = run_scenario(load_scenario("contaminated_a1"), n_jobs=4)
         assert (

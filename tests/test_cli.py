@@ -512,6 +512,14 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert str(path) in err
 
+    def test_overflowing_reliability_is_numeric_failure(self, capsys):
+        # (t / alpha)^eta overflows a double: exit 5 with a message, not a
+        # traceback from the interpreter's OverflowError
+        code = main(["ci", "--data", "solar", "--t", "1e250"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert "overflowed" in captured.err and captured.out == ""
+
     def test_ill_conditioned_fit_is_numeric_failure(self, capsys, tmp_path):
         # the solar design with every first-level survivor failing in the
         # first interval after the stress change: a1 is not identified

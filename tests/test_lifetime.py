@@ -9,14 +9,14 @@ from stepstress.errors import ExtrapolationWarning, NumericError
 from stepstress.estimation import FitConfig, FitResult, fit
 from stepstress.lifetime import (
     CharacteristicEstimate,
+    characteristic,
     characteristic_ci,
-    characteristic_gradient,
     mean_lifetime,
     param_ci,
     quantile,
     reliability,
 )
-from stepstress.model import ModelParams
+from stepstress.model import IntervalData, ModelParams
 
 EULER_GAMMA = 0.5772156649015329
 HOURS_PER_YEAR = 8760.0
@@ -118,8 +118,6 @@ class TestGradients:
     @pytest.mark.parametrize("kind", ["reliability", "quantile", "mean"])
     def test_matches_finite_differences(self, kind):
         rng = np.random.default_rng(12)
-        from stepstress.lifetime import _point_value
-
         for _ in range(10):
             p = ModelParams(
                 rng.uniform(0.5, 6.0), rng.uniform(-3.0, -0.1), rng.uniform(0.6, 2.5)
@@ -131,7 +129,7 @@ class TestGradients:
                 extra = rng.uniform(0.05, 0.95)
             else:
                 extra = None
-            grad = characteristic_gradient(p, x0, kind, extra)
+            grad = characteristic(p, x0, kind, extra)[1]
             base = p.as_array()
             fd = np.zeros(3)
             h = 1e-6
@@ -140,29 +138,29 @@ class TestGradients:
                 up[i] += h
                 dn[i] -= h
                 fd[i] = (
-                    _point_value(ModelParams(*up), x0, kind, extra)
-                    - _point_value(ModelParams(*dn), x0, kind, extra)
+                    characteristic(ModelParams(*up), x0, kind, extra)[0]
+                    - characteristic(ModelParams(*dn), x0, kind, extra)[0]
                 ) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-9)
 
     def test_mean_log_derivative_in_a0(self):
-        g = characteristic_gradient(SOLAR_MLE, 0.3, "mean")
+        _, g = characteristic(SOLAR_MLE, 0.3, "mean")
         assert g[0] / mean_lifetime(SOLAR_MLE, 0.3) == 1.0
 
     def test_mean_shape_derivative_at_exponential(self):
         # at eta = 1 the shape sensitivity reduces to -E*(1 - Euler gamma)
         p = ModelParams(1.0, -0.5, 1.0)
-        g = characteristic_gradient(p, 0.3, "mean")
+        _, g = characteristic(p, 0.3, "mean")
         e = mean_lifetime(p, 0.3)
         assert g[2] == pytest.approx(-e * (1.0 - EULER_GAMMA), rel=1e-12)
 
     def test_rejects_bad_kind_and_extra(self):
         with pytest.raises(ValueError, match="kind"):
-            characteristic_gradient(SOLAR_MLE, 0.0, "median")
+            characteristic(SOLAR_MLE, 0.0, "median")
         with pytest.raises(ValueError, match="extra"):
-            characteristic_gradient(SOLAR_MLE, 0.0, "reliability")
+            characteristic(SOLAR_MLE, 0.0, "reliability")
         with pytest.raises(ValueError, match="no extra"):
-            characteristic_gradient(SOLAR_MLE, 0.0, "mean", 4.0)
+            characteristic(SOLAR_MLE, 0.0, "mean", 4.0)
 
 
 class TestCharacteristicCI:
@@ -237,6 +235,20 @@ class TestCharacteristicCI:
             characteristic_ci(result, plan, 0.0, "mean", confidence=1.0)
         with pytest.raises(ValueError, match="confidence"):
             param_ci(result, confidence=0.0)
+
+
+    @pytest.mark.parametrize("kind, extra", [("mean", None), ("quantile", 0.95)])
+    def test_unbounded_interval_refused(self, kind, extra):
+        # a converged, well-conditioned fit with se(a0) of about 1045: the
+        # log-scale interval's upper end overflows to inf, which is refused
+        # rather than reported
+        b = load_dataset("transistor")
+        data = IntervalData([0, 0, 1, 5, 4, 5, 4, 7, 3, 1, 0], 30)
+        result = fit(b.plan, data, FitConfig(beta=0.0))
+        assert result.converged and not result.ill_conditioned
+        assert result.standard_errors[0] > 1e3
+        with pytest.raises(NumericError, match="overflows"):
+            characteristic_ci(result, None, 0.0, kind, extra)
 
 
 class TestExtrapolationWarning:

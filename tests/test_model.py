@@ -20,6 +20,7 @@ from conftest import (
 )
 from stepstress.datasets import BUNDLED_DATASETS, load_dataset
 from stepstress.errors import NumericError
+from stepstress.estimation import FitConfig, fit_proportions
 from stepstress.model import (
     IntervalData,
     ModelParams,
@@ -113,8 +114,17 @@ class TestModelParams:
             ModelParams(1.0, -1.0, 0.0)
 
     def test_positive_slope_warns(self):
-        with pytest.warns(ParameterSpaceWarning):
-            ModelParams(1.0, 0.5, 1.0)
+        # the container accepts a1 >= 0 silently; the fit that returns such
+        # an estimate is what warns
+        params = ModelParams(1.0, 0.5, 1.0)
+        plan = load_dataset("solar").plan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParameterSpaceWarning)
+            ModelParams(0.0, 0.0, 1.0)
+            pi = cell_probabilities(params, plan)
+        with pytest.warns(ParameterSpaceWarning, match="a1 >= 0"):
+            result = fit_proportions(plan, pi, 100, FitConfig(beta=0.0))
+        assert result.params.a1 == pytest.approx(0.5, abs=1e-6)
 
     def test_as_array_roundtrip(self):
         theta = SIM_THETA.as_array()
@@ -142,8 +152,7 @@ class TestIntervalData:
 
 class TestScale:
     def test_zero_params(self):
-        with pytest.warns(ParameterSpaceWarning):
-            params = ModelParams(0.0, 0.0, 1.0)
+        params = ModelParams(0.0, 0.0, 1.0)
         assert scale_at_level(params, 17.3) == 1.0
 
     def test_log_linear(self):
@@ -159,8 +168,7 @@ class TestScale:
 class TestShiftTerms:
     def test_equal_scales_no_shift(self):
         plan = StressPlan([1.0, 2.0], [1.0, 2.0], [0.5, 1.0, 2.0])
-        with pytest.warns(ParameterSpaceWarning):
-            params = ModelParams(0.7, 0.0, 1.3)
+        params = ModelParams(0.7, 0.0, 1.3)
         terms = shift_terms(params, plan)
         assert terms.h == pytest.approx([0.0, 0.0])
 

@@ -8,7 +8,8 @@ from scipy.stats import chi2, kstest, norm
 
 from stepstress.datasets import load_dataset
 from stepstress.errors import NumericError
-from stepstress.estimation import FitConfig, fit, fit_proportions
+from stepstress.estimation import FitConfig, fit, fit_proportions, sandwich_covariance
+from stepstress.influence import influence_report
 from stepstress.lifetime import characteristic_ci, param_ci
 from stepstress.model import IntervalData, ModelParams, cell_probabilities
 from stepstress.wald import (
@@ -132,6 +133,21 @@ class TestWaldStatistic:
         with pytest.raises(NumericError, match="ill-conditioned"):
             characteristic_ci(result, plan, 0.0, "mean")
 
+    def test_power_refused_at_unidentified_point(self):
+        # the ill-conditioned solar fit of the test above: its pseudo-inverse
+        # covariance once gave asymptotic power 1.0 and contiguous power NaN
+        plan = load_dataset("solar").plan
+        data = IntervalData([14, 11, 8, 6, 0, 0, 0], 39)
+        theta = fit(plan, data, FitConfig(beta=0.0)).params
+        on_null = linear_constraint([0.0, 1.0, 0.0], theta.a1)
+        off_null = linear_constraint([0.0, 1.0, 0.0], theta.a1 + 0.5)
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            asymptotic_power(theta, plan, off_null, 0.0, 39)
+        with pytest.raises(NumericError, match="ill-conditioned"):
+            contiguous_power(theta, plan, on_null, 0.0, d=[0.0, 1.0, 0.0])
+        # the influence forms keep reporting the flag instead
+        assert influence_report(theta, plan, 0.0, 2, on_null, 39).ill_conditioned
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             linear_constraint([1.0, 2.0])
@@ -225,10 +241,11 @@ class TestPowerApproximations:
     def test_closed_form_gradient_matches_differences(self, beta, slope):
         # the normal approximation's scale uses the gradient 2 C' A^-1 m of
         # l(theta) = m' A^-1 m at fixed A; compare with central differences
-        from stepstress.wald import _inner_matrix, _sigma_at
+        from stepstress.wald import _inner_matrix
 
         theta = ModelParams(5.3, slope, 1.5)
-        inner = _inner_matrix(NULL_SLOPE, _sigma_at(theta, SIM_PLAN, beta))
+        sigma, _ = sandwich_covariance(theta, SIM_PLAN, beta)
+        inner = _inner_matrix(NULL_SLOPE, sigma)
 
         def ell(u):
             m = NULL_SLOPE.value(ModelParams(*u))
@@ -244,7 +261,6 @@ class TestPowerApproximations:
         closed = 2.0 * NULL_SLOPE.coefficients.T @ np.linalg.solve(inner, m)
         np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=0.0)
         # and asymptotic_power is the normal approximation with that gradient
-        sigma = _sigma_at(theta, SIM_PLAN, beta)
         scale = np.sqrt(numeric @ sigma @ numeric)
         z_arg = np.sqrt(200.0) / scale * (chi2.ppf(0.95, 1) / 200.0 - ell(base))
         expected = norm.sf(z_arg)
@@ -284,9 +300,9 @@ class TestContiguousPower:
         # arrange the shift so the noncentrality is exactly 5; the power
         # 1 - F(3.8415; df=1, ncp=5) = 0.60878 is verified against an
         # independent noncentral chi-squared implementation
-        from stepstress.wald import _inner_matrix, _sigma_at
+        from stepstress.wald import _inner_matrix
 
-        sigma = _sigma_at(SIM_THETA, SIM_PLAN, 0.0)
+        sigma, _ = sandwich_covariance(SIM_THETA, SIM_PLAN, 0.0)
         inner = _inner_matrix(NULL_SLOPE, sigma)
         delta = np.sqrt(5.0 * float(inner[0, 0]))
         power = contiguous_power(

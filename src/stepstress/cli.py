@@ -101,14 +101,6 @@ class Report:
         return getattr(self, f"to_{fmt}")()
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dataset_hash(bundle) -> str:
     """Content hash of the analysis-ready design and counts."""
     digest = hashlib.sha256()
@@ -199,7 +191,7 @@ FIT_COLUMNS = (
 )
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     bundle, x0 = _load(args)
     betas = _parse_float_list(args.beta, "--beta") if args.beta else ()
     optimal = None
@@ -234,8 +226,7 @@ def cmd_fit(args) -> int:
         confidence=f"{args.confidence!r}",
         devices=bundle.data.total,
     )
-    _emit(Report(meta, FIT_COLUMNS, rows, labels).render(args.format), args.output)
-    return EXIT_OK
+    return Report(meta, FIT_COLUMNS, rows, labels).render(args.format)
 
 
 CI_COLUMNS = (
@@ -245,7 +236,7 @@ CI_COLUMNS = (
 )
 
 
-def cmd_ci(args) -> int:
+def cmd_ci(args) -> str:
     bundle, x0 = _load(args)
     result = _fit_one(bundle, args.beta)
     cis = param_ci(result, args.confidence)
@@ -268,11 +259,10 @@ def cmd_ci(args) -> int:
         confidence=f"{args.confidence!r}",
         devices=bundle.data.total,
     )
-    _emit(Report(meta, CI_COLUMNS, rows, labels).render(args.format), args.output)
-    return EXIT_OK
+    return Report(meta, CI_COLUMNS, rows, labels).render(args.format)
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> str:
     bundle = load_dataset(args.data)
     constraint = _parse_constraint(args.constraint)
     result = _fit_one(bundle, args.beta)
@@ -297,11 +287,10 @@ def cmd_test(args) -> int:
             f"null hypothesis {verdict} at level {args.alpha:g} "
             f"(p={test.p_value:.4f})\n"
         )
-    _emit(text, args.output)
-    return EXIT_OK
+    return text
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> str:
     bundle = load_dataset(args.data)
     config = TuningConfig(
         epsilon=args.epsilon,
@@ -321,14 +310,10 @@ def cmd_tune(args) -> int:
         eta=f"{float(theta[2])!r}",
     )
     rows = [list(pair) for pair in tuned.mse_curve]
-    _emit(
-        Report(meta, ("beta", "mse_estimate"), rows).render(args.format),
-        args.output,
-    )
-    return EXIT_OK
+    return Report(meta, ("beta", "mse_estimate"), rows).render(args.format)
 
 
-def cmd_influence(args) -> int:
+def cmd_influence(args) -> str:
     bundle = load_dataset(args.data)
     result = _fit_one(bundle, args.beta)
     constraint = _parse_constraint(args.constraint) if args.constraint else None
@@ -354,16 +339,14 @@ def cmd_influence(args) -> int:
         constraint=args.constraint or "none",
         devices=bundle.data.total,
     )
-    report = Report(
+    return Report(
         meta,
         ("cell", "if_a0", "if_a1", "if_eta", "wald_second_order", "ill_conditioned"),
         rows,
-    )
-    _emit(report.render(args.format), args.output)
-    return EXIT_OK
+    ).render(args.format)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     spec = load_scenario(args.scenario)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -390,8 +373,7 @@ def cmd_simulate(args) -> int:
     else:
         table = run_scenario(spec, n_jobs=args.jobs)
         report = Report(meta, table.columns, table.rows)
-    _emit(report.to_csv(), args.output)
-    return EXIT_OK
+    return report.to_csv()
 
 
 def _parse_sweep(raw: str):
@@ -415,7 +397,7 @@ def _swept_spec(spec, parameter: str, value: float):
     return replace(spec, theta_tilde=tilde, contaminated_cell=cell)
 
 
-def cmd_datasets(args) -> int:
+def cmd_datasets(args) -> str:
     bundles = [load_dataset(name) for name in BUNDLED_DATASETS]
     specs = [load_scenario(name) for name in BUNDLED_SCENARIOS]
     entries = [
@@ -442,15 +424,8 @@ def cmd_datasets(args) -> int:
         for name, spec in zip(BUNDLED_SCENARIOS, specs)
     ]
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {"version": __version__, "datasets": entries, "scenarios": scenarios},
-                indent=2,
-            )
-            + "\n",
-            args.output,
-        )
-        return EXIT_OK
+        payload = {"version": __version__, "datasets": entries, "scenarios": scenarios}
+        return json.dumps(payload, indent=2) + "\n"
     lines = [f"# version: {__version__}", "bundled datasets:"]
     for e in entries:
         lines.append(
@@ -469,8 +444,7 @@ def cmd_datasets(args) -> int:
             f"  {s['name']:<18} R={s['replications']}, N={s['devices']}, "
             f"seed={s['seed']}, beta={s['beta_grid']}, {contaminated}"
         )
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _add_characteristic_flags(sub):
@@ -483,20 +457,18 @@ def _add_characteristic_flags(sub):
     sub.add_argument("--confidence", type=float, default=0.95)
 
 
-def _add_common(sub, *, data=True, fmt=True):
-    if data:
-        sub.add_argument(
-            "--data",
-            required=True,
-            help="bundled dataset name (solar, transistor, led) or a dataset file",
-        )
-    if fmt:
-        sub.add_argument(
-            "--format",
-            choices=("pretty", "csv", "json"),
-            default="pretty",
-            help="output format (default: pretty; csv/json keep full precision)",
-        )
+def _add_common(sub):
+    sub.add_argument(
+        "--data",
+        required=True,
+        help="bundled dataset name (solar, transistor, led) or a dataset file",
+    )
+    sub.add_argument(
+        "--format",
+        choices=("pretty", "csv", "json"),
+        default="pretty",
+        help="output format (default: pretty; csv/json keep full precision)",
+    )
     sub.add_argument("--output", help="write the report to this file instead of stdout")
 
 
@@ -600,9 +572,16 @@ EXIT_CODES = (
 
 
 def main(argv=None) -> int:
+    """Run one command; every command returns its text and only this writes it."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except (SystemExit, *(kind for kind, _ in EXIT_CODES)) as exc:
         if isinstance(exc, SystemExit):  # argparse has printed usage or help
             return int(exc.code or 0)

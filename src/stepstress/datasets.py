@@ -201,14 +201,12 @@ def load_dataset(name_or_path: str | Path) -> DatasetBundle:
         text = path.read_text(encoding="utf-8")
         origin = str(path)
     try:
-        return _build_bundle(*_parse_dataset_text(text, origin), origin=origin)
-    except ValueError as exc:  # DataError included: name the file exactly once
-        if isinstance(exc, DataError) and str(exc).startswith(origin):
-            raise
+        return _build_bundle(*_parse_dataset_text(text))
+    except ValueError as exc:  # DataError included: the one place the file is named
         raise DataError(f"{origin}: {exc}") from exc
 
 
-def _parse_dataset_text(text: str, origin: str):
+def _parse_dataset_text(text: str):
     header: dict[str, str] = {}
     notes: list[str] = []
     corrections: dict[str, tuple[float, str]] = {}
@@ -230,7 +228,7 @@ def _parse_dataset_text(text: str, origin: str):
                 used, _, reason = rest.partition("|")
                 if not arrow or not used.strip():
                     raise DataError(
-                        f"{origin}, line {lineno}: correction must read "
+                        f"line {lineno}: correction must read "
                         "'printed -> value | reason'"
                     )
                 corrections[printed.strip()] = (
@@ -243,30 +241,28 @@ def _parse_dataset_text(text: str, origin: str):
             tokens.extend(stripped.split())
     missing = [k for k in _REQUIRED_KEYS if k not in header]
     if missing:
-        raise DataError(f"{origin}: missing header keys: {', '.join(missing)}")
+        raise DataError(f"missing header keys: {', '.join(missing)}")
     return header, notes, corrections, tokens
 
 
-def _vector_field(header, key, origin):
+def _vector_field(header, key):
     try:
         return np.array([float(v) for v in header[key].split()])
     except ValueError as exc:
-        raise DataError(f"{origin}: bad numeric list for {key!r}") from exc
+        raise DataError(f"bad numeric list for {key!r}") from exc
 
 
-def _build_bundle(header, notes, corrections, tokens, *, origin):
+def _build_bundle(header, notes, corrections, tokens):
     kind = header["kind"]
     if kind not in ("times", "counts"):
-        raise DataError(f"{origin}: kind must be 'times' or 'counts', got {kind!r}")
+        raise DataError(f"kind must be 'times' or 'counts', got {kind!r}")
     analysis = header["analysis"]
     if analysis not in ("as-recorded", "drop-censored"):
-        raise DataError(
-            f"{origin}: analysis must be 'as-recorded' or 'drop-censored'"
-        )
+        raise DataError("analysis must be 'as-recorded' or 'drop-censored'")
     n_total = int(header["n_total"])
-    levels = _vector_field(header, "stress_levels", origin)
-    change_times = _vector_field(header, "change_times", origin)
-    inspection_times = _vector_field(header, "inspection_times", origin)
+    levels = _vector_field(header, "stress_levels")
+    change_times = _vector_field(header, "change_times")
+    inspection_times = _vector_field(header, "inspection_times")
     use_stress = float(header["use_stress"])
     plan_raw = StressPlan(levels, change_times, inspection_times)
 
@@ -279,11 +275,11 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
         needs = "a use_stress below the lowest stress level"
     else:
         raise DataError(
-            f"{origin}: normalization must be 'minmax' or 'use-anchored', "
+            "normalization must be 'minmax' or 'use-anchored', "
             f"got {convention!r}"
         )
     if not x_max > x_min:
-        raise DataError(f"{origin}: {convention} normalization needs {needs}")
+        raise DataError(f"{convention} normalization needs {needs}")
     mapping = NormalizationMap(x_min, x_max)
     plan = StressPlan(mapping(levels), change_times, inspection_times)
 
@@ -309,12 +305,12 @@ def _build_bundle(header, notes, corrections, tokens, *, origin):
         counts = np.array([float(v) for v in used_values])
         if len(counts) != plan.n_cells:
             raise DataError(
-                f"{origin}: {len(counts)} counts for a plan with "
+                f"{len(counts)} counts for a plan with "
                 f"{plan.n_cells} cells (survivor cell included)"
             )
         if abs(counts.sum() - n_total) > 1e-9:
             raise DataError(
-                f"{origin}: counts sum to {counts.sum():g}, header says "
+                f"counts sum to {counts.sum():g}, header says "
                 f"n_total {n_total}"
             )
         data = IntervalData(counts, n_total)

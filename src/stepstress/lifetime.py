@@ -65,20 +65,24 @@ def quantile(params: ModelParams, x0: float, level: float) -> float:
     ``level`` is a reliability (survival) level: quantile(params, x0, 0.95)
     is the time by which 5% of devices fail.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("reliability level must lie strictly in (0, 1)")
-    return float(scale_at_level(params, x0) * (-np.log(level)) ** (1.0 / params.eta))
+    return characteristic(params, x0, "quantile", level)[0]
 
 
 def mean_lifetime(params: ModelParams, x0: float) -> float:
     """Expected lifetime at stress x0."""
-    return scale_at_level(params, x0) * float(gamma(1.0 + 1.0 / params.eta))
+    return characteristic(params, x0, "mean")[0]
 
 
 def characteristic(
     params: ModelParams, x0: float, kind: str, extra: float | None = None
 ) -> tuple[float, np.ndarray]:
-    """Value of the requested characteristic and its gradient in (a0, a1, eta)."""
+    """Value of the requested characteristic and its gradient in (a0, a1, eta).
+
+    A non-finite x0 or extra raises ValueError; a value or gradient that
+    overflows raises NumericError.
+    """
+    if not math.isfinite(x0):
+        raise ValueError(f"operating stress x0 must be finite, got {x0:g}")
     eta = params.eta
     if kind == "reliability":
         t = _require_extra(kind, extra)
@@ -87,26 +91,30 @@ def characteristic(
             u = (t / alpha0) ** eta
         except OverflowError:
             raise NumericError(f"reliability at t={t:g} overflowed") from None
-        r = float(np.exp(-u))
-        return r, r * u * np.array([eta, eta * x0, -np.log(t / alpha0)])
-    if kind == "quantile":
+        value = float(np.exp(-u))
+        grad = value * u * np.array([eta, eta * x0, -np.log(t / alpha0)])
+    elif kind == "quantile":
         q = _require_extra(kind, extra)
-        value = quantile(params, x0, q)
-        return value, value * np.array([1.0, x0, -np.log(-np.log(q)) / eta**2])
-    if kind == "mean":
+        value = float(scale_at_level(params, x0) * (-np.log(q)) ** (1.0 / eta))
+        grad = value * np.array([1.0, x0, -np.log(-np.log(q)) / eta**2])
+    elif kind == "mean":
         if extra is not None:
             raise ValueError("mean lifetime takes no extra argument")
-        value = mean_lifetime(params, x0)
-        return value, value * np.array([1.0, x0, -psi(1.0 + 1.0 / eta) / eta**2])
-    raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
+        value = scale_at_level(params, x0) * float(gamma(1.0 + 1.0 / eta))
+        grad = value * np.array([1.0, x0, -psi(1.0 + 1.0 / eta) / eta**2])
+    else:
+        raise ValueError(f"kind must be one of {CHARACTERISTIC_KINDS}, got {kind!r}")
+    if not all(map(math.isfinite, (value, *grad.tolist()))):
+        raise NumericError(f"the {kind} at stress {x0:g} overflows a double")
+    return value, grad
 
 
 def _require_extra(kind: str, extra: float | None) -> float:
     if extra is None:
         raise ValueError(f"{kind} requires an extra argument")
     extra = float(extra)
-    if kind == "reliability" and extra <= 0:
-        raise ValueError("mission time t must be positive")
+    if kind == "reliability" and not 0.0 < extra < math.inf:
+        raise ValueError("mission time t must be positive and finite")
     if kind == "quantile" and not 0.0 < extra < 1.0:
         raise ValueError("reliability level must lie strictly in (0, 1)")
     return extra
@@ -143,9 +151,9 @@ def characteristic_ci(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
     fit.require_usable("build intervals from")
+    value, grad = characteristic(fit.params, x0, kind, extra)
     _check_extrapolation(plan, x0)
 
-    value, grad = characteristic(fit.params, x0, kind, extra)
     var = float(grad @ fit.covariance @ grad)
     if var < -1e-10 * max(1.0, float(np.abs(grad).max()) ** 2):
         raise NumericError("covariance is not positive semi-definite")

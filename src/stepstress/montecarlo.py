@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DataError, StepStressError
 from .estimation import FitConfig, fit_proportions
 from .lifetime import characteristic_ci, mean_lifetime, reliability
-from .model import IntervalData, ModelParams, StressPlan, cdf, cell_probabilities
+from .model import IntervalData, ModelParams, StressPlan, cell_probabilities
 from .wald import linear_constraint, wald_statistic
 
 FAILURE_RATE_LIMIT = 0.05
@@ -176,16 +176,8 @@ def contaminate(
             UserWarning,
             stacklevel=2,
         )
-    times = plan.inspection_times
-    upper = times[cell - 1] if cell <= len(times) else np.inf
-    lower = times[cell - 2] if cell >= 2 else 0.0
-    if np.isinf(upper):
-        mass = 1.0 - float(cdf(params_tilde, plan, times[-1]))
-    else:
-        lo = float(cdf(params_tilde, plan, lower)) if lower > 0.0 else 0.0
-        mass = float(cdf(params_tilde, plan, upper)) - lo
     out = pi.copy()
-    out[cell - 1] = mass
+    out[cell - 1] = cell_probabilities(params_tilde, plan)[cell - 1]
     total = out.sum()
     if np.any(out < 0.0) or not total > 0.0:
         raise DataError("pi must be non-negative with positive total mass")
@@ -325,6 +317,15 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
     return MetricsTable(rows=rows)
 
 
+#: (section, key, ScenarioSpec field, type) of the scenario keys a file may omit
+_OPTIONAL_KEYS = (
+    ("run", "devices", "n_devices", int),
+    ("run", "null_slope", "null_slope", float),
+    ("evaluate", "x0", "x0", float),
+    ("evaluate", "t", "t_eval", float),
+)
+
+
 def _parse_vector(raw: str) -> np.ndarray:
     return np.array([float(v) for v in raw.replace(",", " ").split()])
 
@@ -334,8 +335,9 @@ def load_scenario(name_or_path) -> ScenarioSpec:
 
     Sections: [design] stress_levels/change_times/inspection_times;
     [truth] a0/a1/eta; optional [contamination] a0/a1/eta/cell;
-    [run] replications/devices/seed/beta_grid and optional null_slope;
-    optional [evaluate] x0/t.
+    [run] replications/seed/beta_grid and optional devices/null_slope;
+    optional [evaluate] x0/t. A key the file omits keeps its ScenarioSpec
+    default.
     """
     name = str(name_or_path)
     if name in BUNDLED_SCENARIOS:
@@ -357,9 +359,6 @@ def load_scenario(name_or_path) -> ScenarioSpec:
     parser = ConfigParser()
     try:
         parser.read_string(text)
-    except ConfigError as exc:
-        raise DataError(f"invalid scenario file {origin}: {exc}") from exc
-    try:
         design = parser["design"]
         plan = StressPlan(
             _parse_vector(design["stress_levels"]),
@@ -376,10 +375,11 @@ def load_scenario(name_or_path) -> ScenarioSpec:
             "theta_true": theta,
             "replications": int(run["replications"]),
             "seed": int(run["seed"]),
-            "n_devices": int(run.get("devices", "200")),
             "beta_grid": tuple(_parse_vector(run["beta_grid"])),
-            "null_slope": float(run.get("null_slope", "-0.05")),
         }
+        for section, key, attr, cast in _OPTIONAL_KEYS:
+            if parser.has_option(section, key):
+                kwargs[attr] = cast(parser[section][key])
         if parser.has_section("contamination"):
             cont = parser["contamination"]
             kwargs["theta_tilde"] = ModelParams(
@@ -388,10 +388,6 @@ def load_scenario(name_or_path) -> ScenarioSpec:
                 float(cont.get("eta", truth["eta"])),
             )
             kwargs["contaminated_cell"] = int(cont["cell"])
-        if parser.has_section("evaluate"):
-            ev = parser["evaluate"]
-            kwargs["x0"] = float(ev.get("x0", "20"))
-            kwargs["t_eval"] = float(ev.get("t", "40"))
         return ScenarioSpec(**kwargs)
-    except (KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, ValueError) as exc:
         raise DataError(f"invalid scenario file {origin}: {exc}") from exc

@@ -68,17 +68,22 @@ def linear_constraint(coefficients, d=0.0) -> Constraint:
     """Constraint C theta = d.
 
     ``coefficients`` is a 3-vector (one linear constraint) or an (r, 3)
-    array with r in {1, 2}; ``d`` broadcasts to r values. A C without full
-    row rank raises NumericError: the test would be undefined.
+    array with r in {1, 2}; ``d`` broadcasts to r values. A non-finite C or
+    d raises ValueError. A C without full row rank raises NumericError: the
+    test would be undefined.
     """
     c = np.array(coefficients, dtype=float, ndmin=2)
     if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] not in (1, 2):
         raise ValueError("coefficients must be a 3-vector or an (r, 3) array, r <= 2")
+    if not np.isfinite(c).all():
+        raise ValueError("constraint coefficients must be finite")
     singular_values = np.linalg.svd(c, compute_uv=False)
     smin, smax = singular_values.min(), singular_values.max()
     if smax == 0.0 or smin < _RANK_RTOL * smax:
         raise NumericError("constraint coefficients are rank deficient")
     rhs = np.broadcast_to(np.asarray(d, dtype=float), (c.shape[0],)).copy()
+    if not np.isfinite(rhs).all():
+        raise ValueError("constraint right-hand side d must be finite")
     return Constraint(coefficients=c, d=rhs)
 
 

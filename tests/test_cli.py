@@ -453,6 +453,31 @@ class TestDatasets:
         assert len(payload["scenarios"]) == 5
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--data", "solar", "--beta", "0,1", "--t", "3"),
+            ("ci", "--data", "solar", "--beta", "0.5", "--t", "3"),
+            ("test", "--data", "solar", "--constraint", "0,0,1,1"),
+            ("tune", "--data", "solar"),
+            ("influence", "--data", "solar", "--cell", "2"),
+            ("simulate", "--scenario", "clean", "--replications", "2"),
+            ("datasets", "--format", "json"),
+        ],
+    )
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, expected = run_cli(capsys, *argv)
+        assert code == EXIT_OK and expected
+        if argv[0] == "test":  # the pretty verdict line goes to the file too
+            assert "null hypothesis" in expected
+        target = tmp_path / "report.txt"
+        code, out = run_cli(capsys, *argv, "--output", str(target))
+        assert code == EXIT_OK
+        assert out == ""
+        assert target.read_bytes() == expected.encode("utf-8")
+
+
 class TestExitCodes:
     def test_missing_dataset(self, capsys):
         code, _ = run_cli(capsys, "fit", "--data", "nope", "--beta", "0")
@@ -485,6 +510,26 @@ class TestExitCodes:
         code, out = run_cli(capsys, "ci", "--data", "solar", "--t", "0")
         assert code == EXIT_USAGE
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ci", "--data", "solar", "--t", "nan"),
+            ("ci", "--data", "solar", "--t", "inf"),
+            ("ci", "--data", "solar", "--x0", "nan"),
+            ("ci", "--data", "solar", "--x0", "inf"),
+            ("fit", "--data", "solar", "--beta", "0", "--x0=-inf"),
+            ("test", "--data", "solar", "--constraint", "0,1,0,nan"),
+            ("test", "--data", "solar", "--constraint", "0,1,0,inf"),
+            ("influence", "--data", "solar", "--constraint", "nan,1,0,0"),
+        ],
+    )
+    def test_non_finite_flag_value_is_usage_error(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "finite" in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -162,6 +162,27 @@ class TestGradients:
         with pytest.raises(ValueError, match="no extra"):
             characteristic(SOLAR_MLE, 0.0, "mean", 4.0)
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_stress(self, x0):
+        for kind, extra in (("reliability", 4.0), ("quantile", 0.9), ("mean", None)):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                characteristic(SOLAR_MLE, x0, kind, extra)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_rejects_non_finite_mission_time(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            reliability(SOLAR_MLE, 0.0, t)
+
+    def test_overflowing_values_refused(self):
+        # at eta = 0.005, gamma(1 + 1/eta) = 200! and the quantile's power
+        # (-log q)^200 both exceed the largest double
+        p = ModelParams(0.0, -1.0, 0.005)
+        with pytest.raises(NumericError, match="mean at stress 0 overflows"):
+            mean_lifetime(p, 0.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="quantile at stress 0 overflows"):
+                quantile(p, 0.0, 1e-300)
+
 
 class TestCharacteristicCI:
     def test_solar_mean(self, solar_fit):

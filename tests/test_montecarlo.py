@@ -40,8 +40,8 @@ class TestContaminate:
 
     def test_identity_contamination_is_a_noop(self):
         out = contaminate(CLEAN_PI, SIM_THETA, SIM_PLAN, 3)
-        # survival-difference vs cdf-difference rounding plus the
-        # renormalization keep this from being bit-exact
+        # the cell keeps its value; renormalizing by a sum that is 1 only
+        # up to rounding keeps the result from being bit-exact
         np.testing.assert_allclose(out, CLEAN_PI, atol=1e-15)
 
     def test_result_is_a_probability_vector(self):
@@ -211,14 +211,15 @@ class TestLoadScenario:
             "inspection_times = 6 10 14 18 20 24 28 32 36 40 44 48 52\n"
             "[truth]\na0 = 5.3\na1 = -0.05\neta = 1.5\n"
             "[run]\nreplications = 7\nseed = 11\nbeta_grid = 0 0.5\n"
+            "[evaluate]\nt = 30\n"
         )
         spec = load_scenario(ini)
         assert spec.replications == 7
         assert spec.beta_grid == (0.0, 0.5)
-        # defaults fill in when sections are omitted
+        # keys the file omits keep the ScenarioSpec defaults
         assert spec.n_devices == 200
         assert spec.null_slope == -0.05
-        assert (spec.x0, spec.t_eval) == (20.0, 40.0)
+        assert (spec.x0, spec.t_eval) == (20.0, 30.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no scenario file"):

@@ -153,6 +153,11 @@ class TestWaldStatistic:
             linear_constraint([1.0, 2.0])
         with pytest.raises(ValueError):
             linear_constraint(np.ones((3, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                linear_constraint([bad, 1.0, 0.0])
+            with pytest.raises(ValueError, match="d must be finite"):
+                linear_constraint([0.0, 1.0, 0.0], bad)
         joint = linear_constraint([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 1.0])
         assert [f.name for f in fields(Constraint)] == ["coefficients", "d"]
         assert joint.r == 2

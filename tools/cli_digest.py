@@ -9,8 +9,12 @@ per command:
 followed by the command's stderr, if any, indented by four spaces, so a
 moved warning can be read rather than only detected.
 
-Before stderr is hashed, the checkout's path becomes ``<checkout>`` and
-the line numbers after ``.py:`` in warning locations are dropped. So two
+Besides the analyses of the bundled data, the list runs error paths on
+malformed dataset and scenario files, written to a temporary directory,
+and one ``--output`` command, whose file takes the place of stdout in the
+digest. Before stderr is hashed, the checkout's path becomes
+``<checkout>``, the temporary directory becomes ``<tmp>``, and the line
+numbers after ``.py:`` in warning locations are dropped. So two
 checkouts print the same lines unless a warning changed its file or text,
 not when an edit merely shifted the line it is raised on. To check
 that a change moves no output byte, run the script in a checkout of each
@@ -28,7 +32,9 @@ import hashlib
 import io
 import re
 import sys
+import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
@@ -44,7 +50,23 @@ SCENARIOS = ("clean", "contaminated_a0", "contaminated_a1", "contaminated_eta", 
 REPLICATIONS = "40"
 
 
-def commands() -> list[list[str]]:
+def _error_inputs(tmp: Path) -> dict[str, str]:
+    """Paths of malformed dataset and scenario files written under ``tmp``."""
+    data = resources.files("stepstress").joinpath("data")
+    solar = data.joinpath("solar.txt").read_text(encoding="utf-8")
+    clean = data.joinpath("scenarios", "clean.ini").read_text(encoding="utf-8")
+    texts = {
+        "bad_correction.txt": solar.replace("10.14 -> 0.140 |", "10.14 -> |"),
+        "missing_key.txt": solar.replace("# use_stress: 293\n", ""),
+        "no_replications.ini": clean.replace("replications = 500", "replications = 0"),
+        "not_ini.ini": "not an ini at all\n",
+    }
+    for name, text in texts.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return {name: str(tmp / name) for name in texts}
+
+
+def commands(tmp: Path) -> list[list[str]]:
     out = []
     for name in DATASETS:
         data = ["--data", name]
@@ -68,19 +90,39 @@ def commands() -> list[list[str]]:
          "--sweep", "a1=-0.02,0,0.02", "--jobs", "2"]
     )
     out += [["datasets"], ["datasets", "--format", "json"]]
+    files = _error_inputs(tmp)
+    out += [
+        ["fit", "--data", "nope", "--beta", "0"],
+        ["fit", "--data", files["bad_correction.txt"], "--beta", "0"],
+        ["fit", "--data", files["missing_key.txt"], "--beta", "0"],
+        ["simulate", "--scenario", files["no_replications.ini"]],
+        ["simulate", "--scenario", files["not_ini.ini"]],
+        ["ci", "--data", "solar", "--t", "nan"],
+        ["test", "--data", "solar", "--constraint", "0,1,0,nan"],
+        ["fit", "--data", "solar", "--beta", "0,0.5,1", "--t", MISSION_TIME["solar"],
+         "--output", str(tmp / "fit.txt")],
+    ]
     return out
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and normalized stderr of one command."""
+def run(argv: list[str], tmp: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and normalized stderr of one command.
+
+    The file of an ``--output`` command is appended to its stdout.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         # fresh filters make every command print its warnings, whatever ran before
         warnings.simplefilter("default")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    stdout = out.getvalue()
+    if "--output" in argv:
+        target = Path(argv[argv.index("--output") + 1])
+        stdout += target.read_text(encoding="utf-8") if target.is_file() else ""
     stderr = err.getvalue().replace(str(CHECKOUT), "<checkout>")
-    return code, out.getvalue(), re.sub(r"(\.py):\d+:", r"\1:", stderr)
+    stderr = stderr.replace(str(tmp), "<tmp>")
+    return code, stdout, re.sub(r"(\.py):\d+:", r"\1:", stderr)
 
 
 def _sha(text: str) -> str:
@@ -88,7 +130,10 @@ def _sha(text: str) -> str:
 
 
 if __name__ == "__main__":
-    for argv in commands():
-        code, stdout, stderr = run(argv)
-        print(code, _sha(stdout), _sha(stderr), " ".join(argv))
-        print("".join(f"    {line}\n" for line in stderr.splitlines()), end="", flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        tmp = Path(scratch)
+        for argv in commands(tmp):
+            code, stdout, stderr = run(argv, tmp)
+            command = " ".join(argv).replace(scratch, "<tmp>")
+            print(code, _sha(stdout), _sha(stderr), command)
+            print("".join(f"    {line}\n" for line in stderr.splitlines()), end="", flush=True)

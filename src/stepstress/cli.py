@@ -77,7 +77,7 @@ class Report:
             v = float(v)
             if np.isnan(v):
                 return "-"
-            if v == int(v) and abs(v) < 1e12:
+            if abs(v) < 1e12 and v == int(v):  # abs first: int(inf) overflows
                 return f"{int(v)}"
             return f"{v:.3f}"
 

@@ -33,10 +33,10 @@ used for fitting:
 * ``use-anchored`` — use-condition stress to 0, lowest tested level to 1
   (tested levels then sit at or above 1).
 
-``analysis`` selects the analysis-ready counts: ``as-recorded`` keeps the
-binned table; ``drop-censored`` zeroes the survivor cell and reduces the
-device total accordingly, mirroring how the source studies treated these
-tests. The faithful binned table remains available via ``binned()``.
+``analysis`` selects the analysis-ready ``data``: ``as-recorded`` keeps the
+``recorded`` table, survivors included; ``drop-censored`` zeroes its survivor
+cell and reduces the device total accordingly, mirroring how the source
+studies treated these tests.
 """
 
 from __future__ import annotations
@@ -69,35 +69,6 @@ _REQUIRED_KEYS = (
 
 
 @dataclass(frozen=True)
-class RawLifetimeData:
-    """Failure times from a step-stress test, in physical units.
-
-    ``plan_raw`` carries the stress levels as temperatures (or whatever the
-    physical stress is); ``n_total`` counts every device put on test, so
-    ``n_total - len(failure_times)`` units survived past termination.
-    """
-
-    failure_times: np.ndarray
-    n_total: int
-    plan_raw: StressPlan
-    censored_note: str = ""
-
-    def __post_init__(self):
-        times = np.sort(np.asarray(self.failure_times, dtype=float))
-        if times.ndim != 1 or times.size == 0:
-            raise DataError("failure_times must be a non-empty vector")
-        if np.any(times <= 0):
-            raise DataError("failure times must be positive")
-        if len(times) > self.n_total:
-            raise DataError(
-                f"{len(times)} failure times recorded for only "
-                f"{self.n_total} devices"
-            )
-        object.__setattr__(self, "failure_times", times)
-        object.__setattr__(self, "n_total", int(self.n_total))
-
-
-@dataclass(frozen=True)
 class NormalizationMap:
     """Affine map of physical stress to the unitless fitting scale.
 
@@ -127,17 +98,17 @@ class NormalizationMap:
 class DatasetBundle:
     """An analysis-ready dataset: normalized plan, counts, and provenance.
 
-    ``data`` follows the dataset's ``analysis`` directive; when the source
-    recorded raw failure times they are kept in ``raw`` and the faithful
-    binned table (survivors included) is available via :meth:`binned`.
+    ``recorded`` is the file's table with survivors included; ``data`` is
+    that table after the dataset's ``analysis`` directive, so
+    ``recorded.total == data.total + n_removed``.
     """
 
     name: str
     description: str
     time_unit: str
     stress_unit: str
-    raw: RawLifetimeData | None
     plan: StressPlan
+    recorded: IntervalData
     data: IntervalData
     stress_map: NormalizationMap
     x0: float
@@ -145,28 +116,23 @@ class DatasetBundle:
     n_removed: int
     notes: tuple[str, ...] = ()
 
-    def binned(self) -> IntervalData:
-        """Interval counts with survivors kept, rebinned from raw times."""
-        if self.raw is None:
-            if self.n_removed:
-                raise DataError(
-                    f"{self.name} was pre-binned at the source; the "
-                    "censored units it removed cannot be restored"
-                )
-            return self.data
-        return bin_failures(self.raw, self.plan.inspection_times)
 
+def _bin_times(failure_times, n_total: int, inspection_times) -> IntervalData:
+    """Failure counts per inspection interval (t_{j-1}, t_j], survivors last.
 
-def bin_failures(raw: RawLifetimeData, inspection_times) -> IntervalData:
-    """Count failures per inspection interval (t_{j-1}, t_j].
-
-    Failure times beyond the final inspection are counted as survivors,
-    with a warning: the test would have ended before observing them.
+    Times past the final inspection count as survivors, with a warning: the
+    test would have ended before observing them.
     """
-    t = np.asarray(inspection_times, dtype=float)
-    if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0) or t[0] <= 0:
-        raise DataError("inspection times must be positive and increasing")
-    times = raw.failure_times
+    times = np.asarray(failure_times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise DataError("failure_times must be a non-empty vector")
+    if np.any(times <= 0):
+        raise DataError("failure times must be positive")
+    if len(times) > n_total:
+        raise DataError(
+            f"{len(times)} failure times recorded for only {n_total} devices"
+        )
+    t = inspection_times
     beyond = times > t[-1]
     if np.any(beyond):
         warnings.warn(
@@ -177,8 +143,7 @@ def bin_failures(raw: RawLifetimeData, inspection_times) -> IntervalData:
         )
     idx = np.searchsorted(t, times[~beyond], side="left")
     counts = np.bincount(idx, minlength=len(t))
-    survivors = raw.n_total - int(counts.sum())
-    return IntervalData(np.append(counts, survivors), raw.n_total)
+    return IntervalData(np.append(counts, n_total - int(counts.sum())), n_total)
 
 
 def load_dataset(name_or_path: str | Path) -> DatasetBundle:
@@ -264,7 +229,8 @@ def _build_bundle(header, notes, corrections, tokens):
     change_times = _vector_field(header, "change_times")
     inspection_times = _vector_field(header, "inspection_times")
     use_stress = float(header["use_stress"])
-    plan_raw = StressPlan(levels, change_times, inspection_times)
+    # the physical plan is checked before its normalization can fail
+    StressPlan(levels, change_times, inspection_times)
 
     convention = header["normalization"]
     if convention == "minmax":
@@ -292,15 +258,8 @@ def _build_bundle(header, notes, corrections, tokens):
         else:
             used_values.append(float(token))
 
-    raw = None
     if kind == "times":
-        raw = RawLifetimeData(
-            used_values,
-            n_total,
-            plan_raw,
-            censored_note=header.get("censored_note", ""),
-        )
-        data = bin_failures(raw, inspection_times)
+        recorded = _bin_times(used_values, n_total, plan.inspection_times)
     else:
         counts = np.array([float(v) for v in used_values])
         if len(counts) != plan.n_cells:
@@ -313,12 +272,12 @@ def _build_bundle(header, notes, corrections, tokens):
                 f"counts sum to {counts.sum():g}, header says "
                 f"n_total {n_total}"
             )
-        data = IntervalData(counts, n_total)
+        recorded = IntervalData(counts, n_total)
 
-    n_removed = 0
+    data, n_removed = recorded, 0
     if analysis == "drop-censored":
-        n_removed = int(round(data.counts[-1]))
-        counts = data.counts.copy()
+        n_removed = int(round(recorded.counts[-1]))
+        counts = recorded.counts.copy()
         counts[-1] = 0
         data = IntervalData(counts, n_total - n_removed)
 
@@ -327,8 +286,8 @@ def _build_bundle(header, notes, corrections, tokens):
         description=header.get("description", ""),
         time_unit=header["time_unit"],
         stress_unit=header["stress_unit"],
-        raw=raw,
         plan=plan,
+        recorded=recorded,
         data=data,
         stress_map=mapping,
         x0=mapping(use_stress),

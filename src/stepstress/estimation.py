@@ -324,34 +324,29 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     t = plan.inspection_times
     x = plan.inspection_levels
     mask = (g_hat > 1e-9) & (g_hat < 1 - 1e-9)
+    y = np.log(-np.log1p(-g_hat[mask])) - np.log(t[mask])
     if mask.sum() >= 2 and len(np.unique(x[mask])) >= 2:
-        y = np.log(-np.log1p(-g_hat[mask])) - np.log(t[mask])
         design = np.column_stack([np.ones(mask.sum()), x[mask]])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         return np.array([-coef[0], -coef[1], 0.0])
     if mask.sum() >= 1:
-        y = np.log(-np.log1p(-g_hat[mask])) - np.log(t[mask])
         return np.array([-float(np.mean(y)), 0.0, 0.0])
     return np.array([np.log(t[-1]), 0.0, 0.0])
 
 
-def _starting_points(plan: StressPlan, p_hat: np.ndarray, count: int) -> list[np.ndarray]:
+def _starting_points(plan: StressPlan, p_hat, count: int) -> tuple[list, list]:
+    """Deterministic starts in two tiers: the data-driven pilot and count - 1
+    perturbations of it, then 8 wider ones for when none of those is feasible.
+    """
     pilot = _pilot_start(plan, p_hat)
-    starts = [pilot]
     rng = np.random.default_rng(1729)
     a1_scale = 0.3 * (abs(pilot[1]) + 0.05)
-    while len(starts) < count:
-        starts.append(
-            pilot
-            + np.array(
-                [
-                    rng.normal(0.0, 0.5),
-                    rng.normal(0.0, a1_scale),
-                    rng.normal(0.0, 0.4),
-                ]
-            )
-        )
-    return starts
+    configured = [pilot]
+    while len(configured) < count:
+        step = [rng.normal(0.0, 0.5), rng.normal(0.0, a1_scale), rng.normal(0.0, 0.4)]
+        configured.append(pilot + np.array(step))
+    rescue_rng = np.random.default_rng(1730)
+    return configured, [pilot + rescue_rng.normal(0.0, 1.0, size=3) for _ in range(8)]
 
 
 def fit(plan: StressPlan, data: IntervalData, config: FitConfig | None = None) -> FitResult:
@@ -383,34 +378,35 @@ def fit_proportions(
         raise ValueError("n_devices must be positive")
     beta = config.beta
 
-    def unpack(u: np.ndarray) -> ModelParams:
-        return ModelParams(u[0], u[1], float(np.exp(u[2])))
+    def evaluate(u: np.ndarray) -> tuple[ModelParams, np.ndarray, np.ndarray] | None:
+        # (params, pi, residual) at u = (a0, a1, log eta); None where undefined
+        try:
+            params = ModelParams(u[0], u[1], float(np.exp(u[2])))
+            return (params, *_cells_and_residual(params, plan, p_hat, beta))
+        except NumericError:
+            return None
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
         with np.errstate(all="ignore"):
-            try:
-                params = unpack(u)
-                pi, residual = _cells_and_residual(params, plan, p_hat, beta)
-            except NumericError:
-                return _INFEASIBLE, np.zeros(3)
-            grad = -(beta + 1.0) * residual
-            grad[2] *= params.eta  # chain rule for the log-eta coordinate
-            value = dpd_loss(p_hat, pi, beta)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            return _INFEASIBLE, np.zeros(3)
-        return value, grad
+            cells = evaluate(u)
+            if cells is not None:
+                params, pi, residual = cells
+                grad = -(beta + 1.0) * residual
+                grad[2] *= params.eta  # chain rule for the log-eta coordinate
+                value = dpd_loss(p_hat, pi, beta)
+                if np.isfinite(value) and np.all(np.isfinite(grad)):
+                    return value, grad
+        return _INFEASIBLE, np.zeros(3)
 
     def residual_u(u: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            try:
-                params = unpack(u)
-                res = _cells_and_residual(params, plan, p_hat, beta)[1]
-            except NumericError:
-                return np.full(3, 1e6)
-            res[2] *= params.eta
-        if not np.all(np.isfinite(res)):
-            return np.full(3, 1e6)
-        return res
+            cells = evaluate(u)
+            if cells is not None:
+                params, _, res = cells
+                res[2] *= params.eta
+                if np.all(np.isfinite(res)):
+                    return res
+        return np.full(3, 1e6)
 
     def attempt(start):
         try:
@@ -428,8 +424,7 @@ def fit_proportions(
             )
         except (ValueError, FloatingPointError):
             return None
-        u = opt.x
-        value = value_and_grad(u)[0]
+        u, value = opt.x, float(opt.fun)
         # polish by solving the estimating equations from the minimizer
         try:
             root = optimize.root(
@@ -443,35 +438,25 @@ def fit_proportions(
             pass
         return value, u
 
-    best_u = None
-    best_value = np.inf
+    best_value, best_u = np.inf, None
     with _SCIPY_BLAS.single():
-        for start in _starting_points(plan, p_hat, config.multistart):
-            outcome = attempt(start)
-            if outcome is not None and outcome[0] < best_value:
-                best_value, best_u = outcome
-
-        if best_u is None or best_value >= _INFEASIBLE:
-            # every configured start failed (possible with a single start on
-            # awkward draws); retry from wider, still deterministic spreads
-            pilot = _pilot_start(plan, p_hat)
-            rescue_rng = np.random.default_rng(1730)
-            for _ in range(8):
-                outcome = attempt(pilot + rescue_rng.normal(0.0, 1.0, size=3))
+        for tier in _starting_points(plan, p_hat, config.multistart):
+            for start in tier:
+                outcome = attempt(start)
                 if outcome is not None and outcome[0] < best_value:
                     best_value, best_u = outcome
+            if best_value < _INFEASIBLE:
+                break
+        else:
+            raise NumericError("all optimizer starts were infeasible")
 
-    if best_u is None or best_value >= _INFEASIBLE:
-        raise NumericError("all optimizer starts were infeasible")
-
-    params = unpack(best_u)
+    params, _, residual = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
     if params.a1 >= 0:
         warnings.warn(
             "a1 >= 0: lifetimes do not shorten with stress",
             ParameterSpaceWarning,
             stacklevel=2,
         )
-    residual = _cells_and_residual(params, plan, p_hat, beta)[1]
     grad_norm = float(np.linalg.norm(residual))
     converged = grad_norm <= _GRAD_TOL
 

@@ -29,7 +29,7 @@ from .estimation import (
 )
 from .model import IntervalData, ModelParams, StressPlan, shift_terms
 from .model import cell_probabilities, gradient_matrix  # noqa: F401 -- wrapped by bench/tracing.py
-from .wald import Constraint, _inner_matrix, _solve_inner
+from .wald import Constraint
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ def wald_quadratic_form(
     a pseudo-inverse where J is ill-conditioned; influence_report flags that.
     """
     v = np.asarray(if_vector, dtype=float).reshape(3)
-    inner = _inner_matrix(constraint, sandwich_covariance(params, plan, beta)[0])
+    sigma = sandwich_covariance(params, plan, beta)[0]
     proj = constraint.coefficients @ v
-    return max(2.0 * n_devices * float(proj @ _solve_inner(inner, proj)), 0.0)
+    return max(2.0 * n_devices * float(proj @ constraint.solve(sigma, proj)), 0.0)
 
 
 def if_wald(
@@ -123,9 +123,9 @@ def if_wald_first_order(
     """
     vector = if_mdpde(params, plan, beta, cell)
     m_val = constraint.value(params)
-    inner = _inner_matrix(constraint, sandwich_covariance(params, plan, beta)[0])
+    sigma = sandwich_covariance(params, plan, beta)[0]
     proj = constraint.coefficients @ vector
-    return 2.0 * n_devices * float(m_val @ _solve_inner(inner, proj))
+    return 2.0 * n_devices * float(m_val @ constraint.solve(sigma, proj))
 
 
 def influence_report(

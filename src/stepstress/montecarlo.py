@@ -101,6 +101,8 @@ class ScenarioSpec:
             raise ValueError("replications must be at least 1")
         if self.n_devices < 1:
             raise ValueError("n_devices must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_tilde is None) != (self.contaminated_cell is None):
             raise ValueError(
                 "theta_tilde and contaminated_cell must be given together"
@@ -358,7 +360,7 @@ def load_scenario(name_or_path) -> ScenarioSpec:
         origin = str(path)
     parser = ConfigParser()
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=origin)
         design = parser["design"]
         plan = StressPlan(
             _parse_vector(design["stress_levels"]),

@@ -91,31 +91,24 @@ def _grid_fits(
         try:
             result = fit(plan, data, replace(template, beta=beta))
         except Exception as exc:  # noqa: BLE001 - any failure just drops the point
-            warnings.warn(
-                f"fit at beta={beta:g} failed ({exc}); excluded from selection",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            continue
-        if not result.converged:
-            warnings.warn(
-                f"fit at beta={beta:g} did not converge; excluded from selection",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            continue
-        if result.ill_conditioned:
-            # the pseudo-inverse shrinks the covariance trace such a fit is
-            # scored by, so it would win the selection on a false variance
-            n_ill_conditioned += 1
-            warnings.warn(
-                f"fit at beta={beta:g} is ill-conditioned; excluded from selection",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            continue
-        betas.append(beta)
-        fits.append(result)
+            reason = f"failed ({exc})"
+        else:
+            if not result.converged:
+                reason = "did not converge"
+            elif result.ill_conditioned:
+                # the pseudo-inverse shrinks the covariance trace such a fit is
+                # scored by, so it would win the selection on a false variance
+                reason = "is ill-conditioned"
+                n_ill_conditioned += 1
+            else:
+                betas.append(beta)
+                fits.append(result)
+                continue
+        warnings.warn(
+            f"fit at beta={beta:g} {reason}; excluded from selection",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     if not fits:
         if n_ill_conditioned:
             raise NumericError(

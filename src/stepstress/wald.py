@@ -48,6 +48,28 @@ class Constraint:
         """The constraint residual C theta - d."""
         return self.coefficients @ params.as_array() - self.d
 
+    def solve(self, sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """(C Sigma C')^-1 rhs, pseudo-inverting a numerically singular C Sigma C'.
+
+        An overflowing C Sigma C' raises NumericError. The singular-case
+        RuntimeWarning names the caller of the test or power function.
+        """
+        c = self.coefficients
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            inner = c @ sigma @ c.T
+        if not np.isfinite(inner).all():
+            raise NumericError("C Sigma C' overflows; rescale the constraint")
+        cond = np.linalg.cond(inner)  # inf where singular
+        if not np.isfinite(cond) or cond > 1e12:
+            warnings.warn(
+                "constrained covariance is numerically singular; using a "
+                "pseudo-inverse, the statistic may be unstable",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return np.linalg.pinv(inner) @ rhs
+        return np.linalg.solve(inner, rhs)
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -98,40 +120,20 @@ def _identified_sigma(params: ModelParams, plan: StressPlan, beta: float) -> np.
     return sigma
 
 
-def _inner_matrix(constraint: Constraint, sigma: np.ndarray) -> np.ndarray:
-    """C Sigma C', the covariance of the constraint residual."""
-    c = constraint.coefficients
-    return c @ sigma @ c.T
-
-
-def _solve_inner(inner: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        cond = np.linalg.cond(inner)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not np.isfinite(cond) or cond > 1e12:
-        warnings.warn(
-            "constrained covariance is numerically singular; using a "
-            "pseudo-inverse, the statistic may be unstable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return np.linalg.pinv(inner) @ rhs
-    return np.linalg.solve(inner, rhs)
-
-
 def wald_statistic(fit: FitResult, constraint: Constraint) -> TestResult:
     """Test C theta = d against the fitted parameters.
 
     Sigma is the fit's own covariance, so the test and the intervals agree.
     An ill-conditioned fit is refused: its pseudo-inverted covariance gives
     the unidentified direction zero variance, which would make the
-    statistic arbitrarily large.
+    statistic arbitrarily large. A statistic that overflows is refused too.
     """
     fit.require_usable("test hypotheses on")
-    m_val = constraint.value(fit.params)
-    inner = _inner_matrix(constraint, fit.covariance)
-    statistic = float(fit.n_devices * m_val @ _solve_inner(inner, m_val))
+    m = constraint.value(fit.params)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        statistic = float(fit.n_devices * m @ constraint.solve(fit.covariance, m))
+    if not np.isfinite(statistic):
+        raise NumericError("the Wald statistic overflows; rescale the constraint")
     statistic = max(statistic, 0.0)
     p_value = 1.0 - chdtr(constraint.r, statistic)
     return TestResult(
@@ -168,7 +170,7 @@ def asymptotic_power(
             "approximation is undefined there"
         )
     sigma = _identified_sigma(theta_star, plan, beta)
-    weighted = _solve_inner(_inner_matrix(constraint, sigma), m_star)
+    weighted = constraint.solve(sigma, m_star)
     ell_star = float(m_star @ weighted)
     grad = 2.0 * constraint.coefficients.T @ weighted
     scale = float(np.sqrt(max(grad @ sigma @ grad, 0.0)))
@@ -201,11 +203,11 @@ def contiguous_power(
         raise ValueError("alpha must lie strictly in (0, 1)")
     if np.linalg.norm(constraint.value(theta0)) > 1e-8:
         raise ValueError("theta0 must satisfy the null hypothesis")
-    inner = _inner_matrix(constraint, _identified_sigma(theta0, plan, beta))
+    sigma = _identified_sigma(theta0, plan, beta)
     if d is not None:
         shift = constraint.coefficients @ np.asarray(d, dtype=float).reshape(3)
     else:
         shift = np.asarray(delta, dtype=float).reshape(constraint.r)
-    ncp = float(shift @ _solve_inner(inner, shift))
+    ncp = float(shift @ constraint.solve(sigma, shift))
     critical = chdtri(constraint.r, alpha)
     return float(1.0 - chndtr(critical, constraint.r, max(ncp, 0.0)))

@@ -436,6 +436,12 @@ class TestSimulate:
         assert target.read_text().startswith("# scenario: clean")
 
 
+class TestReport:
+    def test_pretty_prints_infinite_cells(self):
+        report = cli.Report({}, ("statistic", "p_value", "df"), [[np.inf, -np.inf, 1]])
+        assert report.to_pretty().splitlines()[-1].split() == ["inf", "-inf", "1"]
+
+
 class TestDatasets:
     def test_pretty_lists_everything(self, capsys):
         code, out = run_cli(capsys, "datasets")
@@ -646,6 +652,7 @@ class TestExitCodes:
         [
             ("replications = 500", "replications = 0"),
             ("beta_grid = 0 0.2 0.4 0.6 0.8 1", "beta_grid = 0 nan 1"),
+            ("seed = 20260818", "seed = -1"),
         ],
     )
     def test_invalid_scenario_file_names_the_file(
@@ -664,6 +671,31 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert captured.out == ""
         assert f"invalid scenario file {path}" in captured.err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code = main(["simulate", "--scenario", "clean", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "seed must be non-negative, got -1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("test", "--data", "solar", "--constraint", "0,0,1e155,1e155"),
+            ("test", "--data", "solar", "--constraint", "0,0,1,1e300"),
+            ("test", "--data", "solar", "--constraint", "0,0,1,1e300", "--format", "json"),
+            ("influence", "--data", "solar", "--constraint", "0,0,1e155,1e155"),
+        ],
+    )
+    def test_overflowing_wald_form_is_numeric_failure(self, capsys, argv):
+        # the 1e155 constraint states the unit-shape null of 0,0,1,1; its
+        # C Sigma C' overflows, which once printed statistic 0 and p = 1
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert "overflows" in captured.err
 
     @pytest.mark.parametrize(
         "error, expected",

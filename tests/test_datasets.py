@@ -1,13 +1,14 @@
 """Tests for dataset ingestion: binning, normalization, bundled data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from stepstress.datasets import (
     DatasetBundle,
     NormalizationMap,
-    RawLifetimeData,
-    bin_failures,
+    _bin_times,
     load_dataset,
 )
 from stepstress.errors import CensoringWarning, DataError
@@ -17,16 +18,15 @@ from stepstress.model import StressPlan
 SOLAR_RAW_PLAN = StressPlan([293.0, 353.0], [5.0, 6.0], [1.5, 3.0, 5.0, 5.2, 5.4, 6.0])
 
 
-def _raw(times, n_total, plan=None):
-    return RawLifetimeData(times, n_total, plan or SOLAR_RAW_PLAN)
+def _bin(times, n_total):
+    return _bin_times(times, n_total, SOLAR_RAW_PLAN.inspection_times)
 
 
 class TestBinFailures:
     def test_counts_on_interval_boundaries(self):
         # cells are left-open, right-closed: a failure at an inspection
         # time belongs to the interval that the inspection closes
-        raw = _raw([1.5, 1.6, 3.0, 5.9], 6)
-        out = bin_failures(raw, SOLAR_RAW_PLAN.inspection_times)
+        out = _bin([1.5, 1.6, 3.0, 5.9], 6)
         np.testing.assert_array_equal(out.counts, [1, 2, 0, 0, 0, 1, 2])
         assert out.total == 6
 
@@ -34,36 +34,29 @@ class TestBinFailures:
         rng = np.random.default_rng(3)
         for _ in range(20):
             times = rng.uniform(0.05, 6.0, size=rng.integers(1, 30))
-            raw = _raw(times, len(times) + int(rng.integers(0, 5)))
-            out = bin_failures(raw, SOLAR_RAW_PLAN.inspection_times)
-            assert out.counts.sum() == out.total == raw.n_total
+            n_total = len(times) + int(rng.integers(0, 5))
+            out = _bin(times, n_total)
+            assert out.counts.sum() == out.total == n_total
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
         times = rng.uniform(0.05, 6.0, size=25)
-        a = bin_failures(_raw(times, 30), SOLAR_RAW_PLAN.inspection_times)
-        b = bin_failures(
-            _raw(times[rng.permutation(25)], 30), SOLAR_RAW_PLAN.inspection_times
-        )
+        a = _bin(times, 30)
+        b = _bin(times[rng.permutation(25)], 30)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_beyond_termination_becomes_survivor_with_warning(self):
-        raw = _raw([1.0, 7.5], 4)
         with pytest.warns(CensoringWarning, match="survivors"):
-            out = bin_failures(raw, SOLAR_RAW_PLAN.inspection_times)
+            out = _bin([1.0, 7.5], 4)
         np.testing.assert_array_equal(out.counts, [1, 0, 0, 0, 0, 0, 3])
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(DataError, match="positive"):
-            _raw([0.0, 1.0], 5)
+            _bin([0.0, 1.0], 5)
 
     def test_rejects_more_failures_than_devices(self):
         with pytest.raises(DataError, match="devices"):
-            _raw([1.0, 2.0, 3.0], 2)
-
-    def test_rejects_bad_inspection_grid(self):
-        with pytest.raises(DataError, match="increasing"):
-            bin_failures(_raw([1.0], 2), [3.0, 1.0])
+            _bin([1.0, 2.0, 3.0], 2)
 
 
 def _stress_file(tmp_path, plan_raw, use_stress, normalization="minmax"):
@@ -144,7 +137,7 @@ class TestMalformedFile:
         assert str(info.value).count(str(path)) == 1
 
     def test_raw_data_error_names_the_file(self, tmp_path):
-        # RawLifetimeData does not know the file; load_dataset adds it
+        # the binning step does not know the file; load_dataset adds it
         path = _stress_file(tmp_path, SOLAR_RAW_PLAN, 293.0)
         text = path.read_text().replace("# kind: counts", "# kind: times")
         path.write_text(text.replace("as-recorded\n1\n", "as-recorded\n-2.0\n"))
@@ -179,15 +172,13 @@ class TestBundledDatasets:
         assert isinstance(b, DatasetBundle)
         assert b.name == name
         assert b.data.counts.sum() == b.data.total
-        if b.raw is not None:
-            binned = b.binned()
-            assert binned.total == b.raw.n_total
-            assert binned.total == b.data.total + b.n_removed
+        assert b.recorded.counts.sum() == b.recorded.total
+        assert b.recorded.total == b.data.total + b.n_removed
 
     def test_solar_content(self):
         b = load_dataset("solar")
-        np.testing.assert_array_equal(b.binned().counts, [3, 8, 5, 5, 5, 5, 4])
-        assert b.binned().total == 35
+        np.testing.assert_array_equal(b.recorded.counts, [3, 8, 5, 5, 5, 5, 4])
+        assert b.recorded.total == 35
         np.testing.assert_array_equal(b.data.counts, [3, 8, 5, 5, 5, 5, 0])
         assert b.data.total == 31
         np.testing.assert_allclose(b.plan.stress_levels, [0.0, 1.0])
@@ -199,11 +190,14 @@ class TestBundledDatasets:
         assert b.time_unit == "100 h"
 
     def test_solar_correction_applied(self):
-        b = load_dataset("solar")
-        times = b.raw.failure_times
-        assert times.min() == pytest.approx(0.140)
-        assert times.max() <= 6.0
-        assert len(times) == 31
+        # read as printed, 10.14 would fall past the 6.0 termination: a
+        # CensoringWarning, and one failure moved from the first cell to
+        # the survivors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensoringWarning)
+            b = load_dataset("solar")
+        np.testing.assert_array_equal(b.recorded.counts, [3, 8, 5, 5, 5, 5, 4])
+        assert b.recorded.total - b.recorded.counts[-1] == 31
         assert any("10.14" in note for note in b.notes)
 
     def test_transistor_content(self):
@@ -212,7 +206,7 @@ class TestBundledDatasets:
             b.data.counts, [0, 0, 0, 2, 5, 5, 3, 3, 0, 9, 0]
         )
         assert b.data.total == 27
-        assert b.raw is None
+        assert b.recorded is b.data  # as-recorded: nothing removed
         temps = np.array([120, 140, 160, 180, 190, 200, 210, 220, 230, 240.0])
         np.testing.assert_allclose(
             b.plan.stress_levels, (temps - 25.0) / 95.0, rtol=1e-12
@@ -223,7 +217,7 @@ class TestBundledDatasets:
 
     def test_led_content(self):
         b = load_dataset("led")
-        np.testing.assert_array_equal(b.binned().counts, [0, 4, 5, 14, 4])
+        np.testing.assert_array_equal(b.recorded.counts, [0, 4, 5, 14, 4])
         np.testing.assert_array_equal(b.data.counts, [0, 4, 5, 14, 0])
         assert b.data.total == 23
         np.testing.assert_allclose(
@@ -289,8 +283,8 @@ class TestUserFiles:
         np.testing.assert_array_equal(b.data.counts, [1, 2, 3, 1, 0])
         assert b.data.total == 7
         assert b.n_removed == 3
-        with pytest.raises(DataError, match="pre-binned"):
-            b.binned()
+        np.testing.assert_array_equal(b.recorded.counts, [1, 2, 3, 1, 3])
+        assert b.recorded.total == 10
 
     def test_missing_header_key_raises(self, tmp_path):
         p = tmp_path / "broken.txt"

@@ -469,10 +469,13 @@ class TestScipyBlasScope:
         assert caller_threads() == 2
 
     def test_restored_after_a_failed_fit(self, monkeypatch, caller_threads):
-        seen = []
+        seen, feasible = [], set()
+        minimize = estimation.optimize.minimize
 
         def failing(*args, **kwargs):
             seen.append(caller_threads())
+            if len(seen) in feasible:
+                return minimize(*args, **kwargs)
             raise ValueError("no solution")
 
         monkeypatch.setattr(estimation.optimize, "minimize", failing)
@@ -481,6 +484,11 @@ class TestScipyBlasScope:
         # five starts plus the eight rescue starts, all on one thread
         assert seen == [1] * 13
         assert caller_threads() == 2
+        # one feasible configured start (the third) leaves the rescue unused
+        seen.clear()
+        feasible.add(3)
+        assert fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3)).converged
+        assert seen == [1] * 5
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
     def test_fits_keep_one_core_busy(self):

@@ -7,6 +7,7 @@ import pytest
 
 from stepstress.estimation import FitConfig, fit, fit_proportions
 from stepstress.datasets import load_dataset
+from stepstress.errors import NumericError
 from stepstress.influence import (
     IFReport,
     if_mdpde,
@@ -163,6 +164,15 @@ class TestWaldInfluence:
             )
             == 0.0
         )
+
+    def test_overflowing_constraint_is_refused(self):
+        # C Sigma C' overflows: the form once read 0 through a pseudo-inverse
+        huge = linear_constraint([0.0, 0.0, 1e200], 1.0)
+        v = if_mdpde(SIM_THETA, SIM_PLAN, 0.4, 3)
+        with pytest.raises(NumericError, match="overflows"):
+            wald_quadratic_form(v, SIM_THETA, SIM_PLAN, 0.4, huge, 200)
+        with pytest.raises(NumericError, match="overflows"):
+            influence_report(SIM_THETA, SIM_PLAN, 0.4, 3, huge, 200)
 
     def test_scales_linearly_with_devices(self):
         one = if_wald(SIM_THETA, SIM_PLAN, 0.4, NULL_SLOPE, 3, n_devices=1)

@@ -51,6 +51,10 @@ class TestStressPlan:
         with pytest.raises(ValueError, match="increasing"):
             StressPlan([1.0, 2.0], [2.0, 1.0], [1.0, 2.0])
 
+    def test_inspection_times_must_increase(self):
+        with pytest.raises(ValueError, match="increasing"):
+            StressPlan([1.0, 2.0], [1.0, 2.0], [2.0, 1.0])
+
     def test_change_time_must_be_inspected(self):
         with pytest.raises(ValueError, match="not an inspection time"):
             StressPlan([1.0, 2.0], [1.5, 3.0], [1.0, 2.0, 3.0])

@@ -162,6 +162,7 @@ class TestScenarioSpec:
             ({"beta_grid": (-0.1, 0.5)}, "beta_grid"),
             ({"beta_grid": (np.nan, 0.5)}, "finite"),
             ({"beta_grid": (0.0, np.inf)}, "finite"),
+            ({"seed": -1}, "seed must be non-negative"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -228,8 +229,10 @@ class TestLoadScenario:
     def test_malformed_ini(self, tmp_path):
         ini = tmp_path / "broken.ini"
         ini.write_text("not an ini at all\n")
-        with pytest.raises(DataError, match="invalid scenario file"):
+        with pytest.raises(DataError, match="invalid scenario file") as info:
             load_scenario(ini)
+        # the parser's own location line names the file too
+        assert f"file: '{ini}', line: 1" in str(info.value)
 
     def test_missing_section(self, tmp_path):
         ini = tmp_path / "nodesign.ini"

@@ -163,6 +163,21 @@ class TestWaldStatistic:
         assert joint.r == 2
         np.testing.assert_array_equal(joint.value(SIM_THETA), [-0.05, 0.5])
 
+    def test_overflow_is_refused_not_reported(self, solar):
+        # C Sigma C' overflows at 1e155, where the pseudo-inverse of inf once
+        # gave statistic 0 and p = 1; at d = 1e300 the statistic itself is inf
+        for constraint in (
+            linear_constraint([0.0, 0.0, 1e155], 1e155),
+            linear_constraint([0.0, 0.0, 1e200], 1.0),
+        ):
+            with pytest.raises(NumericError, match="C Sigma C' overflows"):
+                wald_statistic(solar, constraint)
+        with pytest.raises(NumericError, match="statistic overflows"):
+            wald_statistic(solar, linear_constraint([0.0, 0.0, 1.0], 1e300))
+        # the same null at a unit scale is an ordinary finite test
+        out = wald_statistic(solar, UNIT_SHAPE)
+        assert np.isfinite(out.statistic) and out.statistic > 0.0
+
     def test_reject_at_validates_alpha(self):
         out = TestResult(statistic=1.0, df=1, p_value=0.3)
         with pytest.raises(ValueError):
@@ -246,11 +261,10 @@ class TestPowerApproximations:
     def test_closed_form_gradient_matches_differences(self, beta, slope):
         # the normal approximation's scale uses the gradient 2 C' A^-1 m of
         # l(theta) = m' A^-1 m at fixed A; compare with central differences
-        from stepstress.wald import _inner_matrix
-
         theta = ModelParams(5.3, slope, 1.5)
         sigma, _ = sandwich_covariance(theta, SIM_PLAN, beta)
-        inner = _inner_matrix(NULL_SLOPE, sigma)
+        c = NULL_SLOPE.coefficients
+        inner = c @ sigma @ c.T
 
         def ell(u):
             m = NULL_SLOPE.value(ModelParams(*u))
@@ -305,10 +319,9 @@ class TestContiguousPower:
         # arrange the shift so the noncentrality is exactly 5; the power
         # 1 - F(3.8415; df=1, ncp=5) = 0.60878 is verified against an
         # independent noncentral chi-squared implementation
-        from stepstress.wald import _inner_matrix
-
         sigma, _ = sandwich_covariance(SIM_THETA, SIM_PLAN, 0.0)
-        inner = _inner_matrix(NULL_SLOPE, sigma)
+        c = NULL_SLOPE.coefficients
+        inner = c @ sigma @ c.T
         delta = np.sqrt(5.0 * float(inner[0, 0]))
         power = contiguous_power(
             SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, 0.05, delta=[delta]

@@ -12,13 +12,16 @@ moved warning can be read rather than only detected.
 Besides the analyses of the bundled data, the list runs error paths on
 malformed dataset and scenario files, written to a temporary directory,
 and one ``--output`` command, whose file takes the place of stdout in the
-digest. Before stderr is hashed, the checkout's path becomes
-``<checkout>``, the temporary directory becomes ``<tmp>``, and the line
-numbers after ``.py:`` in warning locations are dropped. So two
-checkouts print the same lines unless a warning changed its file or text,
-not when an edit merely shifted the line it is raised on. To check
-that a change moves no output byte, run the script in a checkout of each
-side and compare:
+digest. A command that raises an exception ``main`` does not map, which
+the interpreter would print as a traceback with exit code 1, is recorded
+as exit code 1 with one ``uncaught <type>: <message>`` line on stderr, so
+that the remaining commands still run. Before stderr is hashed, the
+checkout's path becomes ``<checkout>``, the temporary directory becomes
+``<tmp>``, and the line numbers after ``.py:`` in warning locations are
+dropped. So two checkouts print the same lines unless a warning changed
+its file or text, not when an edit merely shifted the line it is raised
+on. To check that a change moves no output byte, run the script in a
+checkout of each side and compare:
 
     python tools/cli_digest.py > before.txt    # in the old checkout
     python tools/cli_digest.py > after.txt     # in the new checkout
@@ -60,6 +63,7 @@ def _error_inputs(tmp: Path) -> dict[str, str]:
         "missing_key.txt": solar.replace("# use_stress: 293\n", ""),
         "no_replications.ini": clean.replace("replications = 500", "replications = 0"),
         "not_ini.ini": "not an ini at all\n",
+        "negative_seed.ini": clean.replace("seed = 20260818", "seed = -1"),
     }
     for name, text in texts.items():
         (tmp / name).write_text(text, encoding="utf-8")
@@ -101,6 +105,13 @@ def commands(tmp: Path) -> list[list[str]]:
         ["test", "--data", "solar", "--constraint", "0,1,0,nan"],
         ["fit", "--data", "solar", "--beta", "0,0.5,1", "--t", MISSION_TIME["solar"],
          "--output", str(tmp / "fit.txt")],
+        # constraints whose C Sigma C' or statistic overflows a double
+        ["test", "--data", "solar", "--constraint", "0,0,1e155,1e155"],
+        ["test", "--data", "solar", "--constraint", "0,0,1,1e300"],
+        ["test", "--data", "solar", "--constraint", "0,0,1,1e300", "--format", "json"],
+        ["influence", "--data", "solar", "--constraint", "0,0,1e155,1e155"],
+        ["simulate", "--scenario", "clean", "--seed", "-1"],
+        ["simulate", "--scenario", files["negative_seed.ini"]],
     ]
     return out
 
@@ -115,7 +126,11 @@ def run(argv: list[str], tmp: Path) -> tuple[int, str, str]:
         # fresh filters make every command print its warnings, whatever ran before
         warnings.simplefilter("default")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except Exception as exc:  # noqa: BLE001 - unmapped: the interpreter exits 1
+                print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
     stdout = out.getvalue()
     if "--output" in argv:
         target = Path(argv[argv.index("--output") + 1])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .datasets import BUNDLED_DATASETS, load_dataset
+from .datasets import BUNDLED_DATASETS, load_dataset, parse_numbers
 from .errors import ConvergenceError, DataError, NumericError, StepStressError
 from .estimation import FitConfig, fit
 from .influence import influence_report
@@ -133,7 +133,7 @@ def _meta(bundle, beta_grid: str, **settings) -> dict:
 
 def _parse_float_list(raw: str, flag: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return parse_numbers(raw)
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated numbers: {exc}") from exc
 

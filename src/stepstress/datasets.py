@@ -17,7 +17,9 @@ plain-text file under ``stepstress/data/``:
 File format
 -----------
 Header lines start with ``#`` and hold ``key: value`` pairs; the body is
-one number per line. Two kinds of body are supported: ``kind: times`` (one
+one number per line. Numeric header lists (``stress_levels``,
+``change_times``, ``inspection_times``) are separated by whitespace or
+commas. Two kinds of body are supported: ``kind: times`` (one
 failure time per line) and ``kind: counts`` (one count per interval cell,
 the final line being the survivor cell). Required keys: ``name``, ``kind``,
 ``n_total``, ``time_unit``, ``stress_unit``, ``stress_levels``,
@@ -89,10 +91,6 @@ class NormalizationMap:
         out = (np.asarray(x, dtype=float) - self.x_min) / (self.x_max - self.x_min)
         return float(out) if out.ndim == 0 else out
 
-    def invert(self, z):
-        out = self.x_min + np.asarray(z, dtype=float) * (self.x_max - self.x_min)
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class DatasetBundle:
@@ -146,25 +144,32 @@ def _bin_times(failure_times, n_total: int, inspection_times) -> IntervalData:
     return IntervalData(np.append(counts, n_total - int(counts.sum())), n_total)
 
 
+def parse_numbers(raw: str) -> tuple[float, ...]:
+    """The numbers of a list separated by commas or whitespace."""
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def read_bundled_or_file(name_or_path, kind: str, bundled, resource: str):
+    """(text, origin) of the bundled ``kind`` by name, read from the package
+    path ``resource`` ("data/{}.txt"), else of the file at that path."""
+    name = str(name_or_path)
+    if name in bundled:
+        source = resources.files("stepstress").joinpath(resource.format(name))
+        return source.read_text(encoding="utf-8"), f"bundled {kind} {name!r}"
+    path = Path(name)
+    if not path.is_file():
+        raise DataError(
+            f"no bundled {kind} or file named {name!r}; bundled names "
+            f"are {', '.join(bundled)}"
+        )
+    return path.read_text(encoding="utf-8"), str(path)
+
+
 def load_dataset(name_or_path: str | Path) -> DatasetBundle:
     """Load a bundled dataset by name, or any dataset file by path."""
-    name = str(name_or_path)
-    if name in BUNDLED_DATASETS:
-        text = (
-            resources.files("stepstress")
-            .joinpath("data", f"{name}.txt")
-            .read_text(encoding="utf-8")
-        )
-        origin = f"bundled dataset {name!r}"
-    else:
-        path = Path(name_or_path)
-        if not path.is_file():
-            raise DataError(
-                f"no bundled dataset or file named {name!r}; bundled names "
-                f"are {', '.join(BUNDLED_DATASETS)}"
-            )
-        text = path.read_text(encoding="utf-8")
-        origin = str(path)
+    text, origin = read_bundled_or_file(
+        name_or_path, "dataset", BUNDLED_DATASETS, "data/{}.txt"
+    )
     try:
         return _build_bundle(*_parse_dataset_text(text))
     except ValueError as exc:  # DataError included: the one place the file is named
@@ -212,7 +217,7 @@ def _parse_dataset_text(text: str):
 
 def _vector_field(header, key):
     try:
-        return np.array([float(v) for v in header[key].split()])
+        return np.array(parse_numbers(header[key]))
     except ValueError as exc:
         raise DataError(f"bad numeric list for {key!r}") from exc
 

@@ -27,7 +27,7 @@ from .estimation import (
     sandwich_covariance,
     sandwich_matrices,
 )
-from .model import IntervalData, ModelParams, StressPlan, shift_terms
+from .model import IntervalData, ModelParams, StressPlan, score_rows
 from .model import cell_probabilities, gradient_matrix  # noqa: F401 -- wrapped by bench/tracing.py
 from .wald import Constraint
 
@@ -166,11 +166,11 @@ def leverage_probe(
     inspection time (and the tied final stress-change time) or its highest
     stress level replaced, and the factor ||w_{L+1}|| * pi_{L+1}^(beta-1)
     is evaluated — the term whose boundedness separates beta > 0 from the
-    likelihood case beta = 0. Writing the survivor probability as
-    exp(-u^eta) and its score row as -exp(-u^eta) * v with v polynomial in
-    the design, the factor equals ||v|| * exp(-beta * u^eta); evaluating
-    that form directly keeps the beta = 0 case exact even where the
-    survivor probability itself underflows.
+    likelihood case beta = 0. With the survivor probability exp(-u^eta) and
+    its score row -hazard * exp(-u^eta) * v (:func:`~stepstress.model.score_rows`),
+    the factor equals hazard * ||v|| * exp(-beta * u^eta); evaluating that
+    form directly keeps the beta = 0 case exact even where the survivor
+    probability itself underflows.
     """
     if mode not in LEVERAGE_MODES:
         raise ValueError(f"mode must be one of {LEVERAGE_MODES}, got {mode!r}")
@@ -193,7 +193,6 @@ def leverage_probe(
                 f"grid values must exceed the previous stress level {levels[-2]:g}"
             )
 
-    eta = params.eta
     norms = np.empty(grid.size)
     for idx, value in enumerate(grid):
         if mode == "inspection_time":
@@ -202,21 +201,10 @@ def leverage_probe(
             plan = StressPlan(levels, new_changes, new_times)
         else:
             plan = StressPlan(np.append(levels[:-1], value), changes, times)
-        terms = shift_terms(params, plan)
-        seg = plan.n_levels - 1
-        alpha = terms.alphas[seg]
-        shifted = plan.inspection_times[-1] + terms.h[seg]
-        u = shifted / alpha
-        vec = np.array(
-            [
-                -shifted,
-                -shifted * plan.stress_levels[seg] + terms.h_star[seg],
-                np.log(u) * shifted / eta,
-            ]
-        )
-        factor = eta / alpha * u ** (eta - 1.0) * np.linalg.norm(vec)
+        v, hazard, u_eta = score_rows(params, plan)
+        factor = hazard[-1] * np.linalg.norm(v[-1])
         if beta > 0.0:
             with np.errstate(over="ignore", under="ignore"):
-                factor *= np.exp(-beta * u**eta)
+                factor *= np.exp(-beta * u_eta[-1])
         norms[idx] = factor
     return norms

@@ -34,6 +34,7 @@ __all__ = [
     "cdf",
     "pdf",
     "cell_probabilities",
+    "score_rows",
     "gradient_matrix",
 ]
 
@@ -100,7 +101,7 @@ class StressPlan:
         object.__setattr__(self, "stress_levels", x)
         object.__setattr__(self, "change_times", tau)
         object.__setattr__(self, "inspection_times", t)
-        seg = _segments_cdf(self, t)
+        seg = _segments(self, t, "left")
         object.__setattr__(self, "inspection_segments", seg)
         object.__setattr__(self, "inspection_levels", x[seg])
 
@@ -245,15 +246,10 @@ def shift_terms(params: ModelParams, plan: StressPlan) -> ShiftTerms:
     return ShiftTerms(alphas=alphas, h=np.array(h), h_star=np.array(h_star))
 
 
-def _segments_cdf(plan: StressPlan, t: np.ndarray) -> np.ndarray:
-    """0-based segment index for cdf evaluation: tau_{i-1} < t <= tau_i."""
-    idx = np.searchsorted(plan.change_times, t, side="left")
-    return np.minimum(idx, plan.n_levels - 1)
-
-
-def _segments_pdf(plan: StressPlan, t: np.ndarray) -> np.ndarray:
-    """0-based segment index for pdf evaluation: tau_{i-1} <= t < tau_i."""
-    idx = np.searchsorted(plan.change_times, t, side="right")
+def _segments(plan: StressPlan, t: np.ndarray, side: str) -> np.ndarray:
+    """0-based segment: tau_{i-1} < t <= tau_i for side "left" (the cdf's),
+    tau_{i-1} <= t < tau_i for side "right" (the pdf's)."""
+    idx = np.searchsorted(plan.change_times, t, side=side)
     return np.minimum(idx, plan.n_levels - 1)
 
 
@@ -278,7 +274,7 @@ def cdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("cdf requires t >= 0")
-    seg = _segments_cdf(plan, t_arr)
+    seg = _segments(plan, t_arr, "left")
     terms = shift_terms(params, plan)
     _, _, u = _shifted_scaled(terms, seg, t_arr)
     with np.errstate(over="ignore", under="ignore"):
@@ -298,7 +294,7 @@ def pdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("pdf requires t > 0")
-    seg = _segments_pdf(plan, t_arr)
+    seg = _segments(plan, t_arr, "right")
     terms = shift_terms(params, plan)
     _, alpha, u = _shifted_scaled(terms, seg, t_arr)
     eta = params.eta
@@ -309,16 +305,6 @@ def pdf(params: ModelParams, plan: StressPlan, t) -> float | np.ndarray:
     return float(values) if np.isscalar(t) or t_arr.ndim == 0 else values
 
 
-def _survivals(params: ModelParams, plan: StressPlan, terms: ShiftTerms) -> np.ndarray:
-    """Survival probabilities at each inspection time."""
-    _, _, u = _shifted_scaled(terms, plan.inspection_segments, plan.inspection_times)
-    with np.errstate(over="ignore", under="ignore"):
-        s = np.exp(-(u**params.eta))
-    if not _all_finite(s):
-        raise NumericError("survival evaluation overflowed")
-    return s
-
-
 def cell_probabilities(params: ModelParams, plan: StressPlan) -> np.ndarray:
     """Probability of first observing a failure in each inspection cell.
 
@@ -327,7 +313,11 @@ def cell_probabilities(params: ModelParams, plan: StressPlan) -> np.ndarray:
     probability at termination. Entries are clamped to [0, 1] and sum to 1.
     """
     terms = shift_terms(params, plan)
-    s = _survivals(params, plan, terms)
+    _, _, u = _shifted_scaled(terms, plan.inspection_segments, plan.inspection_times)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.exp(-(u**params.eta))  # survival at each inspection time
+    if not _all_finite(s):
+        raise NumericError("survival evaluation overflowed")
     pi = np.empty(plan.n_cells)
     pi[0] = 1.0 - s[0]
     pi[1:-1] = s[:-1] - s[1:]
@@ -335,31 +325,41 @@ def cell_probabilities(params: ModelParams, plan: StressPlan) -> np.ndarray:
     return np.minimum(np.maximum(pi, 0.0), 1.0)
 
 
-def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
-    """Gradient of cell probabilities: W[j] = d pi_{j+1} / d (a0, a1, eta).
+def score_rows(params: ModelParams, plan: StressPlan) -> tuple[np.ndarray, ...]:
+    """Undamped score rows v, hazards and u^eta at every inspection time.
 
-    Rows are differences w_j = z_j - z_{j-1} of the per-inspection score
-    vectors z_j = dG(t_j)/d theta, with zero sentinels at both ends, so the
-    matrix has shape (L+1) x 3 and its rows sum to the zero vector.
+    With u_j = (t_j + h_j)/alpha_j the survival at t_j is exp(-u_j^eta), and
+    its gradient in (a0, a1, eta) is -hazard_j * exp(-u_j^eta) * v_j, where
+    hazard_j = eta/alpha_j * u_j^(eta-1) and v_j = [-(t_j + h_j),
+    -(t_j + h_j) x_j + h*_j, log(u_j) (t_j + h_j)/eta]. Unchecked for overflow.
     """
     terms = shift_terms(params, plan)
     seg = plan.inspection_segments
     shifted, alpha_seg, u = _shifted_scaled(terms, seg, plan.inspection_times)
-    eta = params.eta
-
     with np.errstate(over="ignore", under="ignore"):
-        dens = eta / alpha_seg * u ** (eta - 1.0) * np.exp(-(u**eta))
+        hazard = params.eta / alpha_seg * u ** (params.eta - 1.0)
+        u_eta = u**params.eta
         log_u = np.log(u)
-    if not (_all_finite(dens) and _all_finite(log_u)):
+    v = np.empty((plan.n_inspections, 3))
+    v[:, 0] = -shifted
+    v[:, 1] = v[:, 0] * plan.inspection_levels + terms.h_star[seg]
+    v[:, 2] = log_u * shifted / params.eta
+    return v, hazard, u_eta
+
+
+def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
+    """Gradient of cell probabilities: W[j] = d pi_{j+1} / d (a0, a1, eta).
+
+    Rows are differences w_j = z_j - z_{j-1} of the per-inspection score
+    vectors z_j = dG(t_j)/d theta = hazard_j * exp(-u_j^eta) * v_j (see
+    :func:`score_rows`), with zero sentinels at both ends, so the matrix has
+    shape (L+1) x 3 and its rows sum to the zero vector.
+    """
+    v, hazard, u_eta = score_rows(params, plan)
+    dens = hazard * np.exp(-u_eta)
+    if not (_all_finite(dens) and _all_finite(v)):
         raise NumericError("gradient evaluation overflowed")
-
-    z = np.empty((plan.n_inspections, 3))
-    neg_shifted = -shifted
-    z[:, 0] = neg_shifted
-    z[:, 1] = neg_shifted * plan.inspection_levels + terms.h_star[seg]
-    z[:, 2] = log_u * shifted / eta
-    z *= dens[:, None]
-
+    z = v * dens[:, None]
     w = np.empty((plan.n_cells, 3))
     w[0] = z[0]
     w[1:-1] = z[1:] - z[:-1]

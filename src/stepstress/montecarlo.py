@@ -25,12 +25,11 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser, Error as ConfigError
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
+from .datasets import parse_numbers, read_bundled_or_file
 from .errors import DataError, StepStressError
 from .estimation import FitConfig, fit_proportions
 from .lifetime import characteristic_ci, mean_lifetime, reliability
@@ -106,6 +105,15 @@ class ScenarioSpec:
         if (self.theta_tilde is None) != (self.contaminated_cell is None):
             raise ValueError(
                 "theta_tilde and contaminated_cell must be given together"
+            )
+        if self.contaminated_cell is not None:
+            self.plan.check_cell(self.contaminated_cell)
+        for name in ("x0", "null_slope"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.t_eval < np.inf:
+            raise ValueError(
+                f"evaluation time t must be positive and finite, got {self.t_eval}"
             )
         grid = tuple(float(b) for b in np.atleast_1d(self.beta_grid))
         if not grid or not all(0.0 <= b < np.inf for b in grid):
@@ -265,15 +273,16 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     pi_gen = spec.generating_probabilities()
     reps = range(spec.replications)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, spec.replications)  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(
                     _replicate,
                     [spec] * spec.replications,
                     [pi_gen] * spec.replications,
                     reps,
-                    chunksize=max(1, spec.replications // (4 * n_jobs)),
+                    chunksize=max(1, spec.replications // (4 * workers)),
                 )
             )
     else:
@@ -328,10 +337,6 @@ _OPTIONAL_KEYS = (
 )
 
 
-def _parse_vector(raw: str) -> np.ndarray:
-    return np.array([float(v) for v in raw.replace(",", " ").split()])
-
-
 def load_scenario(name_or_path) -> ScenarioSpec:
     """Read a ScenarioSpec from a bundled scenario name or an INI file.
 
@@ -341,31 +346,17 @@ def load_scenario(name_or_path) -> ScenarioSpec:
     optional [evaluate] x0/t. A key the file omits keeps its ScenarioSpec
     default.
     """
-    name = str(name_or_path)
-    if name in BUNDLED_SCENARIOS:
-        text = (
-            resources.files("stepstress")
-            .joinpath("data", "scenarios", f"{name}.ini")
-            .read_text(encoding="utf-8")
-        )
-        origin = f"bundled scenario {name!r}"
-    else:
-        path = Path(name)
-        if not path.is_file():
-            raise DataError(
-                f"no scenario file at {path} and no bundled scenario "
-                f"named {name!r} (bundled: {', '.join(BUNDLED_SCENARIOS)})"
-            )
-        text = path.read_text(encoding="utf-8")
-        origin = str(path)
+    text, origin = read_bundled_or_file(
+        name_or_path, "scenario", BUNDLED_SCENARIOS, "data/scenarios/{}.ini"
+    )
     parser = ConfigParser()
     try:
         parser.read_string(text, source=origin)
         design = parser["design"]
         plan = StressPlan(
-            _parse_vector(design["stress_levels"]),
-            _parse_vector(design["change_times"]),
-            _parse_vector(design["inspection_times"]),
+            parse_numbers(design["stress_levels"]),
+            parse_numbers(design["change_times"]),
+            parse_numbers(design["inspection_times"]),
         )
         truth = parser["truth"]
         theta = ModelParams(
@@ -377,7 +368,7 @@ def load_scenario(name_or_path) -> ScenarioSpec:
             "theta_true": theta,
             "replications": int(run["replications"]),
             "seed": int(run["seed"]),
-            "beta_grid": tuple(_parse_vector(run["beta_grid"])),
+            "beta_grid": parse_numbers(run["beta_grid"]),
         }
         for section, key, attr, cast in _OPTIONAL_KEYS:
             if parser.has_option(section, key):

@@ -653,6 +653,11 @@ class TestExitCodes:
             ("replications = 500", "replications = 0"),
             ("beta_grid = 0 0.2 0.4 0.6 0.8 1", "beta_grid = 0 nan 1"),
             ("seed = 20260818", "seed = -1"),
+            ("t = 40", "t = 0"),
+            ("t = 40", "t = nan"),
+            ("x0 = 20", "x0 = inf"),
+            ("null_slope = -0.05", "null_slope = nan"),
+            ("[run]", "[contamination]\na0 = 8\ncell = 99\n\n[run]"),
         ],
     )
     def test_invalid_scenario_file_names_the_file(

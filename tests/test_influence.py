@@ -210,19 +210,29 @@ class TestLeverageProbe:
     @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
     def test_matches_direct_factor_where_representable(self, beta):
         # away from underflow the probe must equal the survivor-cell
-        # gradient norm times pi^(beta-1) computed from public functions
-        grid = [60.0, 80.0]
-        vals = leverage_probe(SIM_THETA, SIM_PLAN, beta, "inspection_time", grid)
-        for g, got in zip(grid, vals):
-            plan = StressPlan(
-                SIM_PLAN.stress_levels,
-                [18.0, g],
-                np.append(SIM_PLAN.inspection_times[:-1], g),
-            )
-            pi_last = cell_probabilities(SIM_THETA, plan)[-1]
-            w_last = gradient_matrix(SIM_THETA, plan)[-1]
-            direct = np.linalg.norm(w_last) * pi_last ** (beta - 1.0)
-            assert got == pytest.approx(direct, rel=1e-12)
+        # gradient norm times pi^(beta-1) computed from public functions,
+        # in both modes
+        levels, changes, times = (
+            SIM_PLAN.stress_levels, SIM_PLAN.change_times, SIM_PLAN.inspection_times
+        )
+        sweeps = {
+            "inspection_time": (
+                [60.0, 80.0],
+                lambda g: StressPlan(levels, [18.0, g], np.append(times[:-1], g)),
+            ),
+            "stress_level": (
+                [45.0, 60.0],
+                lambda g: StressPlan([30.0, g], changes, times),
+            ),
+        }
+        for mode, (grid, plan_at) in sweeps.items():
+            vals = leverage_probe(SIM_THETA, SIM_PLAN, beta, mode, grid)
+            for g, got in zip(grid, vals):
+                plan = plan_at(g)
+                pi_last = cell_probabilities(SIM_THETA, plan)[-1]
+                w_last = gradient_matrix(SIM_THETA, plan)[-1]
+                direct = np.linalg.norm(w_last) * pi_last ** (beta - 1.0)
+                assert got == pytest.approx(direct, rel=1e-12), mode
 
     def test_likelihood_case_diverges_with_inspection_time(self):
         vals = leverage_probe(

@@ -26,12 +26,13 @@ from stepstress.model import (
     ModelParams,
     ParameterSpaceWarning,
     StressPlan,
-    _segments_cdf,
+    _segments,
     cdf,
     cell_probabilities,
     gradient_matrix,
     pdf,
     scale_at_level,
+    score_rows,
     shift_terms,
 )
 from stepstress.montecarlo import load_scenario
@@ -69,7 +70,7 @@ class TestStressPlan:
 
 
 def _assert_segments_cached(plan):
-    seg = _segments_cdf(plan, plan.inspection_times)
+    seg = _segments(plan, plan.inspection_times, "left")
     assert np.array_equal(plan.inspection_segments, seg)
     assert np.array_equal(plan.inspection_levels, plan.stress_levels[seg])
 
@@ -447,3 +448,34 @@ class TestGradientMatrix:
     def test_shape(self):
         w = gradient_matrix(SIM_THETA, SIM_PLAN)
         assert w.shape == (14, 3)
+
+
+class TestScoreRows:
+    def test_damped_differences_are_the_gradient(self):
+        # hazard * exp(-u^eta) * v per inspection time, differenced with zero
+        # rows at both ends, is W bit for bit
+        rng = np.random.default_rng(108)
+        for _ in range(50):
+            params, plan = random_problem(rng)
+            v, hazard, u_eta = score_rows(params, plan)
+            assert v.shape == (plan.n_inspections, 3)
+            z = (hazard * np.exp(-u_eta))[:, None] * v
+            padded = np.vstack([np.zeros(3), z, np.zeros(3)])
+            np.testing.assert_array_equal(
+                np.diff(padded, axis=0), gradient_matrix(params, plan)
+            )
+
+    def test_survival_and_hazard(self):
+        v, hazard, u_eta = score_rows(SIM_THETA, SIM_PLAN)
+        t = SIM_PLAN.inspection_times
+        survival = np.exp(-u_eta)
+        np.testing.assert_allclose(
+            survival, 1.0 - cdf(SIM_THETA, SIM_PLAN, t), rtol=1e-12
+        )
+        # pdf takes the right limit at change times; compare elsewhere
+        inside = ~np.isin(t, SIM_PLAN.change_times)
+        np.testing.assert_allclose(
+            hazard[inside],
+            pdf(SIM_THETA, SIM_PLAN, t[inside]) / survival[inside],
+            rtol=1e-12,
+        )

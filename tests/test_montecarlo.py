@@ -163,6 +163,15 @@ class TestScenarioSpec:
             ({"beta_grid": (np.nan, 0.5)}, "finite"),
             ({"beta_grid": (0.0, np.inf)}, "finite"),
             ({"seed": -1}, "seed must be non-negative"),
+            ({"theta_tilde": SIM_THETA, "contaminated_cell": 99}, r"in \[1, 14\], got 99"),
+            ({"theta_tilde": SIM_THETA, "contaminated_cell": 0}, "1-based"),
+            ({"x0": np.inf}, "x0 must be finite"),
+            ({"x0": np.nan}, "x0 must be finite"),
+            ({"null_slope": np.nan}, "null_slope must be finite"),
+            ({"t_eval": 0.0}, "t must be positive and finite"),
+            ({"t_eval": -1.0}, "t must be positive and finite"),
+            ({"t_eval": np.nan}, "t must be positive and finite"),
+            ({"t_eval": np.inf}, "t must be positive and finite"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -223,7 +232,7 @@ class TestLoadScenario:
         assert (spec.x0, spec.t_eval) == (20.0, 30.0)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="no scenario file"):
+        with pytest.raises(DataError, match="no bundled scenario or file named"):
             load_scenario(tmp_path / "absent.ini")
 
     def test_malformed_ini(self, tmp_path):
@@ -318,6 +327,35 @@ class TestRunScenario:
         spec, tab = small_table
         parallel = run_scenario(spec, n_jobs=4)
         assert parallel.to_csv() == tab.to_csv()
+
+    def test_pool_never_outnumbers_replications(self, monkeypatch):
+        # a fork pool starts all max_workers at the first submit; a fake pool
+        # that maps in-process records the size asked for and starts nothing
+        from stepstress import montecarlo
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, *iterables, chunksize=1):
+                return map(func, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        spec = ScenarioSpec(
+            plan=SIM_PLAN, theta_true=SIM_THETA, replications=2, seed=3,
+            beta_grid=(0.0,),
+        )
+        pooled = run_scenario(spec, n_jobs=64)
+        assert sizes == [2]
+        assert pooled.to_csv() == run_scenario(spec).to_csv()
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_jobs_below_one_raise(self, small_table, n_jobs):

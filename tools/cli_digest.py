@@ -11,11 +11,13 @@ moved warning can be read rather than only detected.
 
 Besides the analyses of the bundled data, the list runs error paths on
 malformed dataset and scenario files, written to a temporary directory,
-and one ``--output`` command, whose file takes the place of stdout in the
-digest. A command that raises an exception ``main`` does not map, which
-the interpreter would print as a traceback with exit code 1, is recorded
-as exit code 1 with one ``uncaught <type>: <message>`` line on stderr, so
-that the remaining commands still run. Before stderr is hashed, the
+one ``--output`` command, whose file takes the place of stdout in the
+digest, and ``--help`` for the program and each subcommand, wrapped at the
+80 columns ``COLUMNS`` is set to, whatever the terminal. A command that
+raises an exception ``main`` does not map, which the interpreter would
+print as a traceback with exit code 1, is recorded as exit code 1 with
+one ``uncaught <type>: <message>`` line on stderr, so that the remaining
+commands still run. Before stderr is hashed, the
 checkout's path becomes ``<checkout>``, the temporary directory becomes
 ``<tmp>``, and the line numbers after ``.py:`` in warning locations are
 dropped. So two checkouts print the same lines unless a warning changed
@@ -33,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import re
 import sys
 import tempfile
@@ -41,6 +44,7 @@ from importlib import resources
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+os.environ["COLUMNS"] = "80"  # argparse wraps help text at this width
 sys.path.insert(0, str(CHECKOUT / "src"))
 
 from stepstress.cli import main  # noqa: E402
@@ -50,6 +54,7 @@ DATASETS = ("solar", "transistor", "led")
 MISSION_TIME = {"solar": "3", "transistor": "5e6", "led": "6e4"}
 FORMATS = ("pretty", "csv", "json")
 SCENARIOS = ("clean", "contaminated_a0", "contaminated_a1", "contaminated_eta", "power_a1")
+SUBCOMMANDS = ("fit", "ci", "test", "tune", "influence", "simulate", "datasets")
 REPLICATIONS = "40"
 
 
@@ -58,12 +63,17 @@ def _error_inputs(tmp: Path) -> dict[str, str]:
     data = resources.files("stepstress").joinpath("data")
     solar = data.joinpath("solar.txt").read_text(encoding="utf-8")
     clean = data.joinpath("scenarios", "clean.ini").read_text(encoding="utf-8")
+    shifted = data.joinpath("scenarios", "contaminated_a0.ini").read_text(encoding="utf-8")
     texts = {
         "bad_correction.txt": solar.replace("10.14 -> 0.140 |", "10.14 -> |"),
         "missing_key.txt": solar.replace("# use_stress: 293\n", ""),
         "no_replications.ini": clean.replace("replications = 500", "replications = 0"),
         "not_ini.ini": "not an ini at all\n",
         "negative_seed.ini": clean.replace("seed = 20260818", "seed = -1"),
+        "cell_99.ini": shifted.replace("cell = 3", "cell = 99"),
+        "t_zero.ini": clean.replace("t = 40", "t = 0"),
+        "x0_inf.ini": clean.replace("x0 = 20", "x0 = inf"),
+        "null_slope_nan.ini": clean.replace("null_slope = -0.05", "null_slope = nan"),
     }
     for name, text in texts.items():
         (tmp / name).write_text(text, encoding="utf-8")
@@ -112,6 +122,11 @@ def commands(tmp: Path) -> list[list[str]]:
         ["influence", "--data", "solar", "--constraint", "0,0,1e155,1e155"],
         ["simulate", "--scenario", "clean", "--seed", "-1"],
         ["simulate", "--scenario", files["negative_seed.ini"]],
+        ["--help"],
+        *([sub, "--help"] for sub in SUBCOMMANDS),
+        ["simulate", "--scenario", "nosuch"],
+        *(["simulate", "--scenario", files[name]]
+          for name in ("cell_99.ini", "t_zero.ini", "x0_inf.ini", "null_slope_nan.ini")),
     ]
     return out
 

@@ -377,14 +377,29 @@ def fit_proportions(
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     beta = config.beta
+    # L-BFGS-B works in v = (a0 + c a1, d a1, log eta), c the mean and d the
+    # range of the stress levels: far from stress 0, a0 and a1 are nearly
+    # collinear, and centring and scaling the stress takes that out of the
+    # quasi-Newton problem. Starts, polish and result stay in u.
+    c = float(np.mean(plan.stress_levels))
+    d = float(np.ptp(plan.stress_levels)) or 1.0
+    v_of_u = np.array([[1.0, c, 0.0], [0.0, d, 0.0], [0.0, 0.0, 1.0]])
+    u_of_v = np.array([[1.0, -c / d, 0.0], [0.0, 1.0 / d, 0.0], [0.0, 0.0, 1.0]])
+    memo = {}
 
     def evaluate(u: np.ndarray) -> tuple[ModelParams, np.ndarray, np.ndarray] | None:
-        # (params, pi, residual) at u = (a0, a1, log eta); None where undefined
-        try:
-            params = ModelParams(u[0], u[1], float(np.exp(u[2])))
-            return (params, *_cells_and_residual(params, plan, p_hat, beta))
-        except NumericError:
-            return None
+        # (params, pi, residual) at u = (a0, a1, log eta); None where undefined.
+        # The last point is kept, since the solvers often ask for it again.
+        key = np.asarray(u, dtype=float).tobytes()
+        if key not in memo:
+            memo.clear()
+            try:
+                params = ModelParams(u[0], u[1], float(np.exp(u[2])))
+                memo[key] = (params, *_cells_and_residual(params, plan, p_hat, beta))
+            except NumericError:
+                memo[key] = None
+        cells = memo[key]
+        return None if cells is None else (cells[0], cells[1], cells[2].copy())
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
         with np.errstate(all="ignore"):
@@ -397,6 +412,10 @@ def fit_proportions(
                 if np.isfinite(value) and np.all(np.isfinite(grad)):
                     return value, grad
         return _INFEASIBLE, np.zeros(3)
+
+    def value_and_grad_v(v: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = value_and_grad(u_of_v @ v)
+        return value, u_of_v.T @ grad  # the gradient maps by the transpose
 
     def residual_u(u: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -411,8 +430,8 @@ def fit_proportions(
     def attempt(start):
         try:
             opt = optimize.minimize(
-                value_and_grad,
-                start,
+                value_and_grad_v,
+                v_of_u @ start,
                 jac=True,
                 method="L-BFGS-B",
                 options={
@@ -424,13 +443,17 @@ def fit_proportions(
             )
         except (ValueError, FloatingPointError):
             return None
-        u, value = opt.x, float(opt.fun)
-        # polish by solving the estimating equations from the minimizer
+        u, value = u_of_v @ opt.x, float(opt.fun)
+        # polish by solving the estimating equations from the minimizer; hybr
+        # can lower the residual to rounding level and still fail its step test
         try:
             root = optimize.root(
                 residual_u, u, method="hybr", options={"xtol": _PARAM_TOL}
             )
-            if root.success and np.linalg.norm(root.x - u) < 1.0:
+            solved = root.success or (
+                np.linalg.norm(root.fun) < np.linalg.norm(residual_u(u))
+            )
+            if solved and np.linalg.norm(root.x - u) < 1.0:
                 polished_value = value_and_grad(root.x)[0]
                 if polished_value <= value + 1e-12 * (1 + abs(value)):
                     u, value = root.x, polished_value

@@ -119,7 +119,12 @@ class StressPlan:
         return len(self.inspection_times) + 1
 
     def check_cell(self, cell: int) -> int:
-        """The 1-based cell index as an int; ValueError when out of range."""
+        """The 1-based cell index as an int; ValueError when out of range.
+
+        Integral floats such as 3.0 are accepted; a fractional index is refused.
+        """
+        if cell != int(cell):
+            raise ValueError(f"cell must be an integer index, got {cell}")
         cell = int(cell)
         if not 1 <= cell <= self.n_cells:
             raise ValueError(

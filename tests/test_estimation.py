@@ -9,7 +9,8 @@ the sandwich covariance.
 
 import os
 import time
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from stepstress.estimation import (
     fit_proportions,
     sandwich_matrices,
 )
+from stepstress.montecarlo import load_scenario, simulate_counts
 from stepstress.model import (
     IntervalData,
     ModelParams,
@@ -423,6 +425,65 @@ class TestFitValidation:
         np.testing.assert_allclose(
             result.params.as_array(), SIM_THETA.as_array(), atol=1e-6
         )
+
+
+def _replication(spec, rep: int) -> IntervalData:
+    """The counts that montecarlo._replicate draws for one replication."""
+    rng = np.random.default_rng([spec.seed, rep])
+    return simulate_counts(spec.generating_probabilities(), spec.n_devices, rng)
+
+
+def _single_start_fit(spec, data: IntervalData, beta: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = FitConfig(beta=beta, multistart=1)
+        return fit_proportions(spec.plan, data.proportions, spec.n_devices, config)
+
+
+class TestFitWork:
+    """The optimizer's centred, range-scaled stress coordinates and its memo."""
+
+    def test_near_optimum_single_start_fit_converges(self):
+        # stopped at an estimating-equation norm of 2.9e-7 when L-BFGS-B
+        # worked in (a0, a1, log eta), where a0 and a1 are nearly collinear
+        spec = replace(load_scenario("clean"), seed=4242)
+        result = _single_start_fit(spec, _replication(spec, 3541), 0.4)
+        assert result.converged, result.grad_norm
+
+    def test_single_start_fits_take_few_model_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return cell_probabilities(*args)
+
+        monkeypatch.setattr(estimation, "cell_probabilities", counted)
+        spec = load_scenario("clean")
+        fits = 0
+        for rep in range(10):
+            data = _replication(spec, rep)
+            for beta in spec.beta_grid:
+                assert _single_start_fit(spec, data, beta).converged
+                fits += 1
+        # about 49 per fit in (a0, a1, log eta) without the memo
+        assert len(calls) / fits <= 32
+
+    def test_grad_norm_is_the_norm_of_the_estimating_residual(self):
+        # the memo hands out copies: the polish scales its residual in place
+        cases = []
+        for name in ("solar", "transistor", "led"):
+            bundle = load_dataset(name)
+            for beta in (0.0, 0.5, 1.0):
+                result = fit(bundle.plan, bundle.data, FitConfig(beta=beta))
+                cases.append((bundle.plan, bundle.data, result))
+        spec = load_scenario("clean")
+        for rep in range(3):
+            data = _replication(spec, rep)
+            for beta in spec.beta_grid:
+                cases.append((spec.plan, data, _single_start_fit(spec, data, beta)))
+        for plan, data, result in cases:
+            residual = estimating_residual(result.params, plan, data, result.beta)
+            assert result.grad_norm == np.linalg.norm(residual)
 
 
 # ---------------------------------------------------------------------------

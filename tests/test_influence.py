@@ -114,6 +114,15 @@ class TestIfMdpde:
         with pytest.raises(ValueError, match="1-based"):
             if_mdpde(SIM_THETA, SIM_PLAN, 0.0, SIM_PLAN.n_cells + 1)
 
+    def test_fractional_cell_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="integer index, got 2.7"):
+            influence_report(SIM_THETA, SIM_PLAN, 0.5, 2.7)
+        with pytest.raises(ValueError, match="integer index"):
+            if_mdpde(SIM_THETA, SIM_PLAN, 0.5, 3.5)
+        # integral values keep working, whatever their type
+        assert influence_report(SIM_THETA, SIM_PLAN, 0.5, 3.0).cell == 3
+        assert influence_report(SIM_THETA, SIM_PLAN, 0.5, np.int64(3)).cell == 3
+
 
 class TestWaldInfluence:
     def test_second_order_nonnegative(self):

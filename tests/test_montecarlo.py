@@ -165,6 +165,7 @@ class TestScenarioSpec:
             ({"seed": -1}, "seed must be non-negative"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 99}, r"in \[1, 14\], got 99"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 0}, "1-based"),
+            ({"theta_tilde": SIM_THETA, "contaminated_cell": 2.7}, "integer index"),
             ({"x0": np.inf}, "x0 must be finite"),
             ({"x0": np.nan}, "x0 must be finite"),
             ({"null_slope": np.nan}, "null_slope must be finite"),

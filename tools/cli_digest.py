@@ -14,10 +14,10 @@ malformed dataset and scenario files, written to a temporary directory,
 one ``--output`` command, whose file takes the place of stdout in the
 digest, and ``--help`` for the program and each subcommand, wrapped at the
 80 columns ``COLUMNS`` is set to, whatever the terminal. A command that
-raises an exception ``main`` does not map, which the interpreter would
-print as a traceback with exit code 1, is recorded as exit code 1 with
-one ``uncaught <type>: <message>`` line on stderr, so that the remaining
-commands still run. Before stderr is hashed, the
+raises an exception ``stepstress.cli.main`` does not map, which the
+interpreter would print as a traceback with exit code 1, is recorded as
+exit code 1 with one ``uncaught <type>: <message>`` line on stderr, so
+that the remaining commands still run. Before stderr is hashed, the
 checkout's path becomes ``<checkout>``, the temporary directory becomes
 ``<tmp>``, and the line numbers after ``.py:`` in warning locations are
 dropped. So two checkouts print the same lines unless a warning changed
@@ -28,13 +28,25 @@ checkout of each side and compare:
     python tools/cli_digest.py > before.txt    # in the old checkout
     python tools/cli_digest.py > after.txt     # in the new checkout
     diff before.txt after.txt
+
+With ``--values DIR`` the script also saves each command's stdout as
+``DIR/NNN.out`` and lists every command with its exit code, stdout file
+and normalized stderr in ``DIR/index.json``. ``tools/output_diff.py``
+compares two such directories number by number, for changes that move
+a digest but should be reviewed by size:
+
+    python tools/cli_digest.py --values before/   # in the old checkout
+    python tools/cli_digest.py --values after/    # in the new checkout
+    python tools/output_diff.py before/ after/
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import re
 import sys
@@ -47,7 +59,7 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 os.environ["COLUMNS"] = "80"  # argparse wraps help text at this width
 sys.path.insert(0, str(CHECKOUT / "src"))
 
-from stepstress.cli import main  # noqa: E402
+from stepstress import cli  # noqa: E402
 
 DATASETS = ("solar", "transistor", "led")
 # a mission time inside each dataset's lifetime range, for the reliability column
@@ -142,7 +154,7 @@ def run(argv: list[str], tmp: Path) -> tuple[int, str, str]:
         warnings.simplefilter("default")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv)
+                code = cli.main(argv)
             except Exception as exc:  # noqa: BLE001 - unmapped: the interpreter exits 1
                 print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
                 code = 1
@@ -159,11 +171,32 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description="Fingerprint the CLI's output.")
+    parser.add_argument(
+        "--values", type=Path, metavar="DIR",
+        help="also save each command's stdout, exit code and stderr under DIR",
+    )
+    values = parser.parse_args(argv).values
+    index = []
+    if values is not None:
+        values.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch)
-        for argv in commands(tmp):
-            code, stdout, stderr = run(argv, tmp)
-            command = " ".join(argv).replace(scratch, "<tmp>")
+        for number, args in enumerate(commands(tmp)):
+            code, stdout, stderr = run(args, tmp)
+            command = " ".join(args).replace(scratch, "<tmp>")
             print(code, _sha(stdout), _sha(stderr), command)
             print("".join(f"    {line}\n" for line in stderr.splitlines()), end="", flush=True)
+            if values is not None:
+                name = f"{number:03d}.out"
+                (values / name).write_text(stdout, encoding="utf-8")
+                index.append(
+                    {"command": command, "exit": code, "stdout": name, "stderr": stderr}
+                )
+    if values is not None:
+        (values / "index.json").write_text(json.dumps(index, indent=1), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -165,7 +165,6 @@ class TestScenarioSpec:
             ({"seed": -1}, "seed must be non-negative"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 99}, r"in \[1, 14\], got 99"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 0}, "1-based"),
-            ({"theta_tilde": SIM_THETA, "contaminated_cell": 2.7}, "integer index"),
             ({"x0": np.inf}, "x0 must be finite"),
             ({"x0": np.nan}, "x0 must be finite"),
             ({"null_slope": np.nan}, "null_slope must be finite"),
@@ -173,6 +172,7 @@ class TestScenarioSpec:
             ({"t_eval": -1.0}, "t must be positive and finite"),
             ({"t_eval": np.nan}, "t must be positive and finite"),
             ({"t_eval": np.inf}, "t must be positive and finite"),
+            ({"theta_tilde": SIM_THETA, "contaminated_cell": 2.7}, "integer index"),
         ],
     )
     def test_validation(self, kwargs, match):

@@ -27,3 +27,7 @@ class CensoringWarning(UserWarning):
 
 class ExtrapolationWarning(UserWarning):
     """Emitted when a quantity is evaluated outside the tested stress range."""
+
+
+class WeakIdentificationWarning(UserWarning):
+    """Emitted when intervals are built from a weakly identified fit."""

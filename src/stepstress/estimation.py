@@ -59,6 +59,12 @@ _INFEASIBLE = 1e12
 _MAX_ITERS = 500
 _GRAD_TOL = 1e-8
 _PARAM_TOL = 1e-10
+# L-BFGS-B stops at these relative-decrease and projected-gradient
+# tolerances. It only has to reach the basin of the hybr polish, which then
+# solves the estimating equations to rounding level; the polished point
+# still has to meet _GRAD_TOL for the fit to count as converged.
+_LBFGS_FTOL = 1e-10
+_LBFGS_GTOL = 1e-7
 
 # Above this condition number the J matrix is pseudo-inverted and the fit
 # flagged ill-conditioned.
@@ -334,19 +340,28 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     return np.array([np.log(t[-1]), 0.0, 0.0])
 
 
-def _starting_points(plan: StressPlan, p_hat, count: int) -> tuple[list, list]:
-    """Deterministic starts in two tiers: the data-driven pilot and count - 1
-    perturbations of it, then 8 wider ones for when none of those is feasible.
+def _start_tiers(plan: StressPlan, p_hat, count: int, centre: np.ndarray | None):
+    """Deterministic starts in two tiers, each built only when it is reached.
+
+    The configured tier is the centre (the data-driven pilot when None) and
+    count - 1 perturbations of it. The rescue tier, for when none of those
+    is feasible, is 8 wider starts around the data-driven pilot.
     """
-    pilot = _pilot_start(plan, p_hat)
-    rng = np.random.default_rng(1729)
-    a1_scale = 0.3 * (abs(pilot[1]) + 0.05)
-    configured = [pilot]
-    while len(configured) < count:
-        step = [rng.normal(0.0, 0.5), rng.normal(0.0, a1_scale), rng.normal(0.0, 0.4)]
-        configured.append(pilot + np.array(step))
+    pilot = None
+    if centre is None:
+        centre = pilot = _pilot_start(plan, p_hat)
+    configured = [centre]
+    if count > 1:
+        rng = np.random.default_rng(1729)
+        a1_scale = 0.3 * (abs(centre[1]) + 0.05)
+        while len(configured) < count:
+            step = [rng.normal(0.0, 0.5), rng.normal(0.0, a1_scale), rng.normal(0.0, 0.4)]
+            configured.append(centre + np.array(step))
+    yield configured
+    if pilot is None:
+        pilot = _pilot_start(plan, p_hat)
     rescue_rng = np.random.default_rng(1730)
-    return configured, [pilot + rescue_rng.normal(0.0, 1.0, size=3) for _ in range(8)]
+    yield [pilot + rescue_rng.normal(0.0, 1.0, size=3) for _ in range(8)]
 
 
 def fit(plan: StressPlan, data: IntervalData, config: FitConfig | None = None) -> FitResult:
@@ -359,7 +374,12 @@ def fit(plan: StressPlan, data: IntervalData, config: FitConfig | None = None) -
 
 
 def fit_proportions(
-    plan: StressPlan, p_hat, n_devices: int, config: FitConfig | None = None
+    plan: StressPlan,
+    p_hat,
+    n_devices: int,
+    config: FitConfig | None = None,
+    *,
+    start: ModelParams | None = None,
 ) -> FitResult:
     """Fit the MDPDE directly on a cell-proportion vector.
 
@@ -367,6 +387,10 @@ def fit_proportions(
     such as exact model probabilities or contaminated mixtures, where the
     proportions do not come from integer counts. An estimate with a1 >= 0
     is returned with a ParameterSpaceWarning.
+
+    ``start``, such as the estimate at a neighbouring beta on the same
+    data, takes the data-driven pilot's place as the centre of the
+    configured starts; the rescue starts stay centred on the pilot.
     """
     config = config or FitConfig()
     p_hat = np.asarray(p_hat, dtype=float)
@@ -436,8 +460,8 @@ def fit_proportions(
                 method="L-BFGS-B",
                 options={
                     "maxiter": _MAX_ITERS,
-                    "ftol": 1e-14,
-                    "gtol": 1e-10,
+                    "ftol": _LBFGS_FTOL,
+                    "gtol": _LBFGS_GTOL,
                     "maxls": 60,
                 },
             )
@@ -461,11 +485,12 @@ def fit_proportions(
             pass
         return value, u
 
+    centre = None if start is None else np.array([start.a0, start.a1, np.log(start.eta)])
     best_value, best_u = np.inf, None
     with _SCIPY_BLAS.single():
-        for tier in _starting_points(plan, p_hat, config.multistart):
-            for start in tier:
-                outcome = attempt(start)
+        for tier in _start_tiers(plan, p_hat, config.multistart, centre):
+            for point in tier:
+                outcome = attempt(point)
                 if outcome is not None and outcome[0] < best_value:
                     best_value, best_u = outcome
             if best_value < _INFEASIBLE:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, ndtri, psi
 
-from .errors import ExtrapolationWarning, NumericError
+from .errors import ExtrapolationWarning, NumericError, WeakIdentificationWarning
 from .estimation import FitResult
 from .model import ModelParams, StressPlan, scale_at_level
 
@@ -134,6 +134,16 @@ def _check_extrapolation(plan: StressPlan | None, x0: float) -> None:
         )
 
 
+def _check_identified(fit: FitResult) -> None:
+    if fit.weakly_identified:
+        warnings.warn(
+            "weakly identified fit: a standard error exceeds its estimate, "
+            "so intervals carry little information",
+            WeakIdentificationWarning,
+            stacklevel=3,
+        )
+
+
 def characteristic_ci(
     fit: FitResult,
     plan: StressPlan | None,
@@ -145,14 +155,16 @@ def characteristic_ci(
     """Point estimate with direct and range-respecting CIs.
 
     ``plan`` is only consulted to warn when x0 lies outside the tested
-    stress range; pass None to skip that check. An interval with an
-    endpoint that overflows raises NumericError.
+    stress range; pass None to skip that check. A weakly identified fit
+    gives a WeakIdentificationWarning. An interval with an endpoint that
+    overflows raises NumericError.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
     fit.require_usable("build intervals from")
     value, grad = characteristic(fit.params, x0, kind, extra)
     _check_extrapolation(plan, x0)
+    _check_identified(fit)
 
     var = float(grad @ fit.covariance @ grad)
     if var < -1e-10 * max(1.0, float(np.abs(grad).max()) ** 2):
@@ -187,10 +199,14 @@ def characteristic_ci(
 
 
 def param_ci(fit: FitResult, confidence: float = 0.95) -> np.ndarray:
-    """Direct CIs for (a0, a1, eta) as a (3, 2) array of (lo, hi) rows."""
+    """Direct CIs for (a0, a1, eta) as a (3, 2) array of (lo, hi) rows.
+
+    A weakly identified fit gives a WeakIdentificationWarning.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly in (0, 1)")
     fit.require_usable("build intervals from")
+    _check_identified(fit)
     z = ndtri(0.5 + confidence / 2.0)
     center = fit.params.as_array()
     half = z * fit.standard_errors

@@ -215,11 +215,16 @@ _RECORD = np.dtype([
 
 
 def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
-    """Fit every beta on one replication; one _RECORD per beta."""
+    """Fit every beta on one replication; one _RECORD per beta.
+
+    Each fit starts from the last converged estimate of this replication,
+    in grid order, and the first from the data-driven pilot.
+    """
     rng = np.random.default_rng([spec.seed, rep])
     p_hat = simulate_counts(pi_gen, spec.n_devices, rng).proportions
     constraint = linear_constraint([0.0, 1.0, 0.0], spec.null_slope)
     out = np.zeros(len(spec.beta_grid), dtype=_RECORD)
+    start = None
     for b, beta in enumerate(spec.beta_grid):
         try:
             with warnings.catch_warnings():
@@ -229,9 +234,11 @@ def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
                     p_hat,
                     spec.n_devices,
                     FitConfig(beta=beta, multistart=1),
+                    start=start,
                 )
                 if not result.converged:
                     continue
+                start = result.params
                 rel = characteristic_ci(
                     result, spec.plan, spec.x0, "reliability", spec.t_eval
                 )

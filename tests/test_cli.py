@@ -27,6 +27,7 @@ from stepstress.errors import (
     DataError,
     NumericError,
     StepStressError,
+    WeakIdentificationWarning,
 )
 from stepstress.estimation import FitConfig, fit
 from stepstress.influence import influence_report
@@ -213,6 +214,13 @@ class TestCi:
             rows[:3, 0], result.params.as_array()
         )
         np.testing.assert_array_equal(rows[:3, 1], result.standard_errors)
+
+
+    def test_weakly_identified_intervals_warn(self, capsys):
+        # the a0 interval is about [-73, 92]; the table alone does not say why
+        with pytest.warns(WeakIdentificationWarning, match="weakly identified"):
+            code, out = run_cli(capsys, "ci", "--data", "led", "--beta", "0.5")
+        assert code == EXIT_OK and out.startswith("# dataset: led")
 
 
 class TestTest:

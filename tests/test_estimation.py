@@ -31,7 +31,7 @@ from stepstress.estimation import (
     fit_proportions,
     sandwich_matrices,
 )
-from stepstress.montecarlo import load_scenario, simulate_counts
+from stepstress.montecarlo import _replicate, load_scenario, simulate_counts
 from stepstress.model import (
     IntervalData,
     ModelParams,
@@ -433,15 +433,17 @@ def _replication(spec, rep: int) -> IntervalData:
     return simulate_counts(spec.generating_probabilities(), spec.n_devices, rng)
 
 
-def _single_start_fit(spec, data: IntervalData, beta: float):
+def _single_start_fit(spec, data: IntervalData, beta: float, start=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = FitConfig(beta=beta, multistart=1)
-        return fit_proportions(spec.plan, data.proportions, spec.n_devices, config)
+        return fit_proportions(
+            spec.plan, data.proportions, spec.n_devices, config, start=start
+        )
 
 
 class TestFitWork:
-    """The optimizer's centred, range-scaled stress coordinates and its memo."""
+    """The optimizer's coordinates, memo, stop rule and warm starts."""
 
     def test_near_optimum_single_start_fit_converges(self):
         # stopped at an estimating-equation norm of 2.9e-7 when L-BFGS-B
@@ -467,6 +469,85 @@ class TestFitWork:
                 fits += 1
         # about 49 per fit in (a0, a1, log eta) without the memo
         assert len(calls) / fits <= 32
+
+    def test_warm_started_replications_take_few_model_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return cell_probabilities(*args)
+
+        monkeypatch.setattr(estimation, "cell_probabilities", counted)
+        spec = load_scenario("clean")
+        pi_gen = spec.generating_probabilities()
+        records = [_replicate(spec, pi_gen, rep) for rep in range(10)]
+        assert all(record["ok"].all() for record in records)
+        # about 26 per fit when every beta starts from the data-driven pilot
+        assert len(calls) / (10 * len(spec.beta_grid)) <= 20
+
+    def test_warm_started_estimates_match_cold_fits(self):
+        spec = load_scenario("clean")
+        pi_gen = spec.generating_probabilities()
+        for rep in range(10):
+            record = _replicate(spec, pi_gen, rep)
+            data = _replication(spec, rep)
+            for b, beta in enumerate(spec.beta_grid):
+                cold = _single_start_fit(spec, data, beta)
+                assert record[b]["ok"] == cold.converged
+                if cold.converged:
+                    np.testing.assert_allclose(
+                        record[b]["theta"], cold.params.as_array(), rtol=1e-9
+                    )
+
+    def test_infeasible_start_converges_through_the_rescue_tier(self):
+        spec = load_scenario("clean")
+        data = _replication(spec, 0)
+        start = replace(spec.theta_true, a0=800.0)  # exp(a0) overflows
+        with pytest.raises(NumericError):
+            cell_probabilities(start, spec.plan)
+        result = _single_start_fit(spec, data, 0.4, start=start)
+        assert result.converged
+        cold = _single_start_fit(spec, data, 0.4)
+        np.testing.assert_allclose(
+            result.params.as_array(), cold.params.as_array(), rtol=1e-9
+        )
+
+    def test_rescue_tier_is_built_only_when_no_configured_start_is_feasible(
+        self, monkeypatch
+    ):
+        seeds, pilots = [], []
+        default_rng, pilot_start = np.random.default_rng, estimation._pilot_start
+
+        def recording_rng(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        def recording_pilot(*args):
+            pilots.append(None)
+            return pilot_start(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(estimation, "_pilot_start", recording_pilot)
+        spec = load_scenario("clean")
+        data = _replication(spec, 0)
+        cases = (
+            # (start, multistart): rng seeds drawn, pilots computed
+            ((None, 5), [1729], 1),
+            ((None, 1), [], 1),
+            ((spec.theta_true, 1), [], 0),
+            ((replace(spec.theta_true, a0=800.0), 1), [1730], 1),
+        )
+        for (start, multistart), want_seeds, want_pilots in cases:
+            seeds.clear()
+            pilots.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = fit_proportions(
+                    spec.plan, data.proportions, spec.n_devices,
+                    FitConfig(beta=0.4, multistart=multistart), start=start,
+                )
+            assert result.converged
+            assert (seeds, len(pilots)) == (want_seeds, want_pilots)
 
     def test_grad_norm_is_the_norm_of_the_estimating_residual(self):
         # the memo hands out copies: the polish scales its residual in place

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from stepstress.datasets import load_dataset
-from stepstress.errors import ExtrapolationWarning, NumericError
+from stepstress.errors import ExtrapolationWarning, NumericError, WeakIdentificationWarning
 from stepstress.estimation import FitConfig, FitResult, fit
 from stepstress.lifetime import (
     CharacteristicEstimate,
@@ -295,6 +295,27 @@ class TestExtrapolationWarning:
         with _w.catch_warnings():
             _w.simplefilter("error", ExtrapolationWarning)
             characteristic_ci(f, None, -3.0, "mean")
+
+
+class TestWeakIdentificationWarning:
+    def test_intervals_of_a_weakly_identified_fit_warn(self):
+        b = load_dataset("led")
+        result = fit(b.plan, b.data, FitConfig(beta=0.5))
+        assert result.weakly_identified
+        with pytest.warns(WeakIdentificationWarning, match="weakly identified"):
+            param_ci(result)
+        with pytest.warns(WeakIdentificationWarning, match="weakly identified"):
+            characteristic_ci(result, None, b.x0, "mean")
+
+    def test_identified_fit_does_not_warn(self, solar_fit):
+        result, plan = solar_fit
+        assert not result.weakly_identified
+        import warnings as _w
+
+        with _w.catch_warnings():
+            _w.simplefilter("error", WeakIdentificationWarning)
+            param_ci(result)
+            characteristic_ci(result, plan, 0.0, "reliability", 4.0)
 
 
 class TestParamCI:

@@ -159,8 +159,17 @@ def test_changed_text_and_missing_command_fail(tmp_path, capsys):
     assert "text line 6: 'null hypothesis not rejected" in out
 
 
+def test_importing_cli_digest_leaves_process_state_alone(monkeypatch):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    path = list(sys.path)
+    monkeypatch.setattr(sys, "path", list(path))
+    _load("cli_digest")
+    assert "COLUMNS" not in os.environ
+    assert sys.path == path
+
+
 def test_cli_digest_saves_values_the_diff_reads(tmp_path, capsys, monkeypatch):
-    # the digest script sets COLUMNS and sys.path on import; restore both after
+    # the digest script's main sets COLUMNS and sys.path; restore both after
     monkeypatch.setenv("COLUMNS", os.environ.get("COLUMNS", "80"))
     monkeypatch.setattr(sys, "path", list(sys.path))
     cli_digest = _load("cli_digest")

@@ -56,10 +56,6 @@ from importlib import resources
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
-os.environ["COLUMNS"] = "80"  # argparse wraps help text at this width
-sys.path.insert(0, str(CHECKOUT / "src"))
-
-from stepstress import cli  # noqa: E402
 
 DATASETS = ("solar", "transistor", "led")
 # a mission time inside each dataset's lifetime range, for the reliability column
@@ -148,6 +144,8 @@ def run(argv: list[str], tmp: Path) -> tuple[int, str, str]:
 
     The file of an ``--output`` command is appended to its stdout.
     """
+    from stepstress import cli  # main puts this checkout's src/ first on sys.path
+
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         # fresh filters make every command print its warnings, whatever ran before
@@ -172,6 +170,8 @@ def _sha(text: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text at this width
+    sys.path.insert(0, str(CHECKOUT / "src"))
     parser = argparse.ArgumentParser(description="Fingerprint the CLI's output.")
     parser.add_argument(
         "--values", type=Path, metavar="DIR",

@@ -65,12 +65,10 @@ class Report:
         return self.header() + format_csv(self.columns, self.rows)
 
     def to_json(self) -> str:
-        payload = {
-            "meta": self.meta,
-            "columns": list(self.columns),
-            "rows": [[float(v) for v in row] for row in self.rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """Strict JSON: a missing or non-finite cell is null, never a bare NaN."""
+        rows = [[float(v) if np.isfinite(v) else None for v in row] for row in self.rows]
+        payload = {"meta": self.meta, "columns": list(self.columns), "rows": rows}
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     def to_pretty(self) -> str:
         def cell(v):

@@ -29,6 +29,7 @@ from .model import (
     ModelParams,
     ParameterSpaceWarning,
     StressPlan,
+    _integral,
     cell_probabilities,
     gradient_matrix,
 )
@@ -191,16 +192,18 @@ def estimating_residual(
     factor -(beta + 1).
     """
     data.validate_against(plan)
-    return _cells_and_residual(params, plan, data.proportions, beta)[1]
+    return _residual(*_cells(params, plan), data.proportions, beta)
 
 
-def _cells_and_residual(
-    params: ModelParams, plan: StressPlan, p_hat: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Floored cell probabilities pi and the residual W' D_pi^(beta-1) (p_hat - pi)."""
+def _cells(params: ModelParams, plan: StressPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Floored cell probabilities pi and their gradient W at params."""
     pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-    w = gradient_matrix(params, plan)
-    return pi, w.T @ (pi ** (beta - 1.0) * (p_hat - pi))
+    return pi, gradient_matrix(params, plan)
+
+
+def _residual(pi, w, p_hat, beta: float) -> np.ndarray:
+    """The estimating-equation residual W' D_pi^(beta-1) (p_hat - pi)."""
+    return w.T @ (pi ** (beta - 1.0) * (p_hat - pi))
 
 
 def sandwich_matrices(
@@ -212,8 +215,11 @@ def sandwich_matrices(
     at beta = 0 both reduce to the Fisher information of the multinomial
     model, so the sandwich collapses to the inverse information.
     """
-    pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-    w = gradient_matrix(params, plan)
+    return _j_and_k(*_cells(params, plan), beta)
+
+
+def _j_and_k(pi, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """J and K of sandwich_matrices from the floored pi and W."""
     j = (w.T * pi ** (beta - 1.0)) @ w
     s = w.T @ (pi**beta)
     k = (w.T * pi ** (2.0 * beta - 1.0)) @ w - np.outer(s, s)
@@ -226,10 +232,14 @@ def sandwich_covariance(
     """The symmetrized per-observation covariance J^-1 K J^-1 at params.
 
     Returns (covariance, ill_conditioned), the flag as invert_information
-    sets it. Fits, power approximations and influence forms all take their
-    covariance from here.
+    sets it. Power approximations and influence forms call it; a fit builds
+    the same matrices from the pi and W it holds at its estimate.
     """
-    j, k = sandwich_matrices(params, plan, beta)
+    return _covariance(*sandwich_matrices(params, plan, beta))
+
+
+def _covariance(j: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(J^-1 K J^-1 symmetrized, ill_conditioned) of sandwich_covariance."""
     j_inv, ill_conditioned = invert_information(j)
     covariance = j_inv @ k @ j_inv
     return 0.5 * (covariance + covariance.T), ill_conditioned
@@ -340,28 +350,21 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     return np.array([np.log(t[-1]), 0.0, 0.0])
 
 
-def _start_tiers(plan: StressPlan, p_hat, count: int, centre: np.ndarray | None):
-    """Deterministic starts in two tiers, each built only when it is reached.
+def _starting_points(plan: StressPlan, p_hat, count: int, centre: np.ndarray | None):
+    """The centre (the data-driven pilot when None) and count - 1 perturbations of it.
 
-    The configured tier is the centre (the data-driven pilot when None) and
-    count - 1 perturbations of it. The rescue tier, for when none of those
-    is feasible, is 8 wider starts around the data-driven pilot.
+    The pilot and the random generator are made only when they are used.
     """
-    pilot = None
     if centre is None:
-        centre = pilot = _pilot_start(plan, p_hat)
-    configured = [centre]
+        centre = _pilot_start(plan, p_hat)
+    starts = [centre]
     if count > 1:
         rng = np.random.default_rng(1729)
         a1_scale = 0.3 * (abs(centre[1]) + 0.05)
-        while len(configured) < count:
+        while len(starts) < count:
             step = [rng.normal(0.0, 0.5), rng.normal(0.0, a1_scale), rng.normal(0.0, 0.4)]
-            configured.append(centre + np.array(step))
-    yield configured
-    if pilot is None:
-        pilot = _pilot_start(plan, p_hat)
-    rescue_rng = np.random.default_rng(1730)
-    yield [pilot + rescue_rng.normal(0.0, 1.0, size=3) for _ in range(8)]
+            starts.append(centre + np.array(step))
+    return starts
 
 
 def fit(plan: StressPlan, data: IntervalData, config: FitConfig | None = None) -> FitResult:
@@ -389,8 +392,8 @@ def fit_proportions(
     is returned with a ParameterSpaceWarning.
 
     ``start``, such as the estimate at a neighbouring beta on the same
-    data, takes the data-driven pilot's place as the centre of the
-    configured starts; the rescue starts stay centred on the pilot.
+    data, takes the data-driven pilot's place as the centre of the starts.
+    NumericError is raised when no start reaches a feasible point.
     """
     config = config or FitConfig()
     p_hat = np.asarray(p_hat, dtype=float)
@@ -398,6 +401,7 @@ def fit_proportions(
         raise ValueError(f"p_hat must have length {plan.n_cells}")
     if np.any(p_hat < 0) or abs(p_hat.sum() - 1.0) > 1e-9:
         raise ValueError("p_hat must be a probability vector")
+    n_devices = _integral(n_devices, "n_devices must be a whole number")
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     beta = config.beta
@@ -411,30 +415,30 @@ def fit_proportions(
     u_of_v = np.array([[1.0, -c / d, 0.0], [0.0, 1.0 / d, 0.0], [0.0, 0.0, 1.0]])
     memo = {}
 
-    def evaluate(u: np.ndarray) -> tuple[ModelParams, np.ndarray, np.ndarray] | None:
-        # (params, pi, residual) at u = (a0, a1, log eta); None where undefined.
-        # The last point is kept, since the solvers often ask for it again.
-        key = np.asarray(u, dtype=float).tobytes()
+    def evaluate(u: np.ndarray) -> tuple | None:
+        # (params, pi, W, residual) at u = (a0, a1, log eta), kept for every
+        # (a0, a1, eta) the solvers or the covariance ask for again; None
+        # where the model or the residual in u, r * [1, 1, eta], is not finite.
+        key = (float(u[0]), float(u[1]), float(np.exp(u[2])))
         if key not in memo:
-            memo.clear()
+            params = ModelParams(*key)
             try:
-                params = ModelParams(u[0], u[1], float(np.exp(u[2])))
-                memo[key] = (params, *_cells_and_residual(params, plan, p_hat, beta))
+                pi, w = _cells(params, plan)
             except NumericError:
                 memo[key] = None
-        cells = memo[key]
-        return None if cells is None else (cells[0], cells[1], cells[2].copy())
+            else:
+                residual = _residual(pi, w, p_hat, beta)
+                finite = np.all(np.isfinite(residual * [1.0, 1.0, params.eta]))
+                memo[key] = (params, pi, w, residual) if finite else None
+        return memo[key]
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
-        with np.errstate(all="ignore"):
-            cells = evaluate(u)
-            if cells is not None:
-                params, pi, residual = cells
-                grad = -(beta + 1.0) * residual
-                grad[2] *= params.eta  # chain rule for the log-eta coordinate
-                value = dpd_loss(p_hat, pi, beta)
-                if np.isfinite(value) and np.all(np.isfinite(grad)):
-                    return value, grad
+        cells = evaluate(u)
+        if cells is not None:
+            params, pi, _, residual = cells
+            value = dpd_loss(p_hat, pi, beta)
+            if np.isfinite(value):  # eta: the chain rule for the log-eta coordinate
+                return value, (-(beta + 1.0) * residual) * [1.0, 1.0, params.eta]
         return _INFEASIBLE, np.zeros(3)
 
     def value_and_grad_v(v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -442,14 +446,10 @@ def fit_proportions(
         return value, u_of_v.T @ grad  # the gradient maps by the transpose
 
     def residual_u(u: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            cells = evaluate(u)
-            if cells is not None:
-                params, _, res = cells
-                res[2] *= params.eta
-                if np.all(np.isfinite(res)):
-                    return res
-        return np.full(3, 1e6)
+        cells = evaluate(u)
+        if cells is None:
+            return np.full(3, 1e6)
+        return cells[3] * [1.0, 1.0, cells[0].eta]
 
     def attempt(start):
         try:
@@ -458,22 +458,15 @@ def fit_proportions(
                 v_of_u @ start,
                 jac=True,
                 method="L-BFGS-B",
-                options={
-                    "maxiter": _MAX_ITERS,
-                    "ftol": _LBFGS_FTOL,
-                    "gtol": _LBFGS_GTOL,
-                    "maxls": 60,
-                },
+                options=dict(maxiter=_MAX_ITERS, ftol=_LBFGS_FTOL, gtol=_LBFGS_GTOL, maxls=60),
             )
-        except (ValueError, FloatingPointError):
+        except ValueError:
             return None
         u, value = u_of_v @ opt.x, float(opt.fun)
         # polish by solving the estimating equations from the minimizer; hybr
         # can lower the residual to rounding level and still fail its step test
         try:
-            root = optimize.root(
-                residual_u, u, method="hybr", options={"xtol": _PARAM_TOL}
-            )
+            root = optimize.root(residual_u, u, method="hybr", options={"xtol": _PARAM_TOL})
             solved = root.success or (
                 np.linalg.norm(root.fun) < np.linalg.norm(residual_u(u))
             )
@@ -481,24 +474,21 @@ def fit_proportions(
                 polished_value = value_and_grad(root.x)[0]
                 if polished_value <= value + 1e-12 * (1 + abs(value)):
                     u, value = root.x, polished_value
-        except (ValueError, FloatingPointError):
+        except ValueError:
             pass
         return value, u
 
     centre = None if start is None else np.array([start.a0, start.a1, np.log(start.eta)])
-    best_value, best_u = np.inf, None
-    with _SCIPY_BLAS.single():
-        for tier in _start_tiers(plan, p_hat, config.multistart, centre):
-            for point in tier:
-                outcome = attempt(point)
-                if outcome is not None and outcome[0] < best_value:
-                    best_value, best_u = outcome
-            if best_value < _INFEASIBLE:
-                break
-        else:
-            raise NumericError("all optimizer starts were infeasible")
+    best_value, best_u = _INFEASIBLE, None
+    with _SCIPY_BLAS.single(), np.errstate(all="ignore"):
+        for point in _starting_points(plan, p_hat, config.multistart, centre):
+            outcome = attempt(point)
+            if outcome is not None and outcome[0] < best_value:
+                best_value, best_u = outcome
+    if best_u is None:
+        raise NumericError("all optimizer starts were infeasible")
 
-    params, _, residual = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
+    params, pi, w, residual = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
     if params.a1 >= 0:
         warnings.warn(
             "a1 >= 0: lifetimes do not shorten with stress",
@@ -506,16 +496,14 @@ def fit_proportions(
             stacklevel=2,
         )
     grad_norm = float(np.linalg.norm(residual))
-    converged = grad_norm <= _GRAD_TOL
-
-    covariance, ill_conditioned = sandwich_covariance(params, plan, beta)
+    covariance, ill_conditioned = _covariance(*_j_and_k(pi, w, beta))
     return FitResult(
         params=params,
         beta=beta,
         covariance=covariance,
         objective=float(best_value),
-        converged=converged,
+        converged=grad_norm <= _GRAD_TOL,
         grad_norm=grad_norm,
-        n_devices=int(n_devices),
+        n_devices=n_devices,
         ill_conditioned=ill_conditioned,
     )

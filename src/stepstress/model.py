@@ -52,6 +52,17 @@ def _vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _integral(value, what: str) -> int:
+    """value as an int; ValueError("<what>, got <value>") unless it is whole.
+
+    Integral floats such as 3.0 and numpy integers pass; a fractional or
+    non-finite value is refused rather than truncated.
+    """
+    if not math.isfinite(value) or value != int(value):
+        raise ValueError(f"{what}, got {value}")
+    return int(value)
+
+
 def _all_finite(a: np.ndarray) -> bool:
     # count_nonzero is several times cheaper than .all() on arrays this short
     return np.count_nonzero(np.isfinite(a)) == a.size
@@ -123,9 +134,7 @@ class StressPlan:
 
         Integral floats such as 3.0 are accepted; a fractional index is refused.
         """
-        if cell != int(cell):
-            raise ValueError(f"cell must be an integer index, got {cell}")
-        cell = int(cell)
+        cell = _integral(cell, "cell must be an integer index")
         if not 1 <= cell <= self.n_cells:
             raise ValueError(
                 f"cell must be a 1-based index in [1, {self.n_cells}], got {cell}"
@@ -176,14 +185,13 @@ class IntervalData:
         counts = _vector(self.counts, "counts")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if self.total <= 0:
+        total = _integral(self.total, "total must be a whole number of devices")
+        if total <= 0:
             raise ValueError("total must be positive")
-        if abs(counts.sum() - self.total) > 1e-9 * max(self.total, 1):
-            raise ValueError(
-                f"counts sum to {counts.sum()}, expected total {self.total}"
-            )
+        if abs(counts.sum() - total) > 1e-9 * max(total, 1):
+            raise ValueError(f"counts sum to {counts.sum()}, expected total {total}")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
+        object.__setattr__(self, "total", total)
 
     def validate_against(self, plan: StressPlan) -> None:
         if len(self.counts) != plan.n_cells:

@@ -33,7 +33,7 @@ from .datasets import parse_numbers, read_bundled_or_file
 from .errors import DataError, StepStressError
 from .estimation import FitConfig, fit_proportions
 from .lifetime import characteristic_ci, mean_lifetime, reliability
-from .model import IntervalData, ModelParams, StressPlan, cell_probabilities
+from .model import IntervalData, ModelParams, StressPlan, _integral, cell_probabilities
 from .wald import linear_constraint, wald_statistic
 
 FAILURE_RATE_LIMIT = 0.05
@@ -98,8 +98,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.n_devices < 1:
+        n_devices = _integral(self.n_devices, "n_devices must be a whole number")
+        if n_devices < 1:
             raise ValueError("n_devices must be at least 1")
+        object.__setattr__(self, "n_devices", n_devices)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_tilde is None) != (self.contaminated_cell is None):
@@ -197,8 +199,7 @@ def contaminate(
 def simulate_counts(pi: np.ndarray, n_devices: int, rng) -> IntervalData:
     """One multinomial draw of the interval counts."""
     pi = np.asarray(pi, dtype=float)
-    counts = rng.multinomial(int(n_devices), pi)
-    return IntervalData(counts, int(n_devices))
+    return IntervalData(rng.multinomial(n_devices, pi), n_devices)
 
 
 #: one replication's outcome at one beta; ``ok`` stays False when the fit

@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chdtri, chndtr, ndtr
+from scipy.special import chdtrc, chdtri, chndtr, ndtr
 
 from .errors import NumericError
 from .estimation import FitResult, sandwich_covariance
@@ -135,12 +135,8 @@ def wald_statistic(fit: FitResult, constraint: Constraint) -> TestResult:
     if not np.isfinite(statistic):
         raise NumericError("the Wald statistic overflows; rescale the constraint")
     statistic = max(statistic, 0.0)
-    p_value = 1.0 - chdtr(constraint.r, statistic)
-    return TestResult(
-        statistic=statistic,
-        df=constraint.r,
-        p_value=float(min(max(p_value, 0.0), 1.0)),
-    )
+    p_value = float(chdtrc(constraint.r, statistic))
+    return TestResult(statistic=statistic, df=constraint.r, p_value=p_value)
 
 
 def asymptotic_power(
@@ -178,7 +174,7 @@ def asymptotic_power(
     if scale == 0.0:
         return 1.0 if ell_star > threshold else 0.0
     z_arg = np.sqrt(n_devices) / scale * (threshold - ell_star)
-    return float(1.0 - ndtr(z_arg))
+    return float(ndtr(-z_arg))
 
 
 def contiguous_power(

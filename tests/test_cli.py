@@ -138,6 +138,25 @@ class TestFit:
         data_line = pretty_out.splitlines()[-1].split()
         assert float(data_line[2]) == pytest.approx(rows[0, 1], abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--data", "solar", "--beta", "0"),
+            ("ci", "--data", "solar", "--beta", "0.5", "--t", "3"),
+        ],
+    )
+    def test_json_is_strict_with_null_for_missing_cells(self, capsys, argv):
+        def refuse(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        _, csv_out = run_cli(capsys, *argv, "--format", "csv")
+        _, json_out = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(json_out, parse_constant=refuse)
+        _, _, rows = csv_table(csv_out)
+        assert np.isnan(rows).any()
+        restored = [[np.nan if v is None else v for v in row] for row in payload["rows"]]
+        np.testing.assert_array_equal(np.array(restored), rows)
+
     def test_x0_override_maps_physical_stress(self, capsys):
         _, default_out = run_cli(
             capsys, "fit", "--data", "solar", "--beta", "0", "--format", "csv"

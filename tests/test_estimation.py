@@ -7,6 +7,7 @@ finite differences, parameter equivariances, and Monte Carlo agreement of
 the sandwich covariance.
 """
 
+import functools
 import os
 import time
 import warnings
@@ -29,6 +30,7 @@ from stepstress.estimation import (
     estimating_residual,
     fit,
     fit_proportions,
+    sandwich_covariance,
     sandwich_matrices,
 )
 from stepstress.montecarlo import _replicate, load_scenario, simulate_counts
@@ -411,6 +413,14 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             fit_proportions(SOLAR_PLAN, np.array([0.5, 0.5]), 10)
 
+    def test_fractional_device_count_is_refused_not_truncated(self):
+        p_hat = SOLAR_DATA.proportions
+        with pytest.raises(ValueError, match="whole number, got 31.5"):
+            fit_proportions(SOLAR_PLAN, p_hat, 31.5)
+        for n in (31, 31.0, np.int64(31)):
+            result = fit_proportions(SOLAR_PLAN, p_hat, n)
+            assert result.n_devices == 31 and type(result.n_devices) is int
+
     def test_result_is_deterministic(self):
         a = fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.6))
         b = fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.6))
@@ -440,6 +450,18 @@ def _single_start_fit(spec, data: IntervalData, beta: float, start=None):
         return fit_proportions(
             spec.plan, data.proportions, spec.n_devices, config, start=start
         )
+
+
+@functools.cache
+def _dataset_fits():
+    """(plan, data, fit) on each bundled dataset at beta = 0, 0.5 and 1."""
+    cases = []
+    for name in ("solar", "transistor", "led"):
+        bundle = load_dataset(name)
+        for beta in (0.0, 0.5, 1.0):
+            result = fit(bundle.plan, bundle.data, FitConfig(beta=beta))
+            cases.append((bundle.plan, bundle.data, result))
+    return tuple(cases)
 
 
 class TestFitWork:
@@ -499,22 +521,16 @@ class TestFitWork:
                         record[b]["theta"], cold.params.as_array(), rtol=1e-9
                     )
 
-    def test_infeasible_start_converges_through_the_rescue_tier(self):
+    def test_infeasible_start_raises(self):
         spec = load_scenario("clean")
         data = _replication(spec, 0)
-        start = replace(spec.theta_true, a0=800.0)  # exp(a0) overflows
+        start = ModelParams(800.0, -1.0, 1.0)  # exp(a0) overflows
         with pytest.raises(NumericError):
             cell_probabilities(start, spec.plan)
-        result = _single_start_fit(spec, data, 0.4, start=start)
-        assert result.converged
-        cold = _single_start_fit(spec, data, 0.4)
-        np.testing.assert_allclose(
-            result.params.as_array(), cold.params.as_array(), rtol=1e-9
-        )
+        with pytest.raises(NumericError, match="infeasible"):
+            _single_start_fit(spec, data, 0.4, start=start)
 
-    def test_rescue_tier_is_built_only_when_no_configured_start_is_feasible(
-        self, monkeypatch
-    ):
+    def test_pilot_and_generator_are_made_only_when_used(self, monkeypatch):
         seeds, pilots = [], []
         default_rng, pilot_start = np.random.default_rng, estimation._pilot_start
 
@@ -535,28 +551,44 @@ class TestFitWork:
             ((None, 5), [1729], 1),
             ((None, 1), [], 1),
             ((spec.theta_true, 1), [], 0),
-            ((replace(spec.theta_true, a0=800.0), 1), [1730], 1),
+            ((spec.theta_true, 5), [1729], 0),
         )
         for (start, multistart), want_seeds, want_pilots in cases:
             seeds.clear()
             pilots.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = fit_proportions(
-                    spec.plan, data.proportions, spec.n_devices,
-                    FitConfig(beta=0.4, multistart=multistart), start=start,
-                )
+            result = fit_proportions(
+                spec.plan, data.proportions, spec.n_devices,
+                FitConfig(beta=0.4, multistart=multistart), start=start,
+            )
             assert result.converged
             assert (seeds, len(pilots)) == (want_seeds, want_pilots)
 
+    def test_model_is_evaluated_once_per_point(self, monkeypatch):
+        points = []
+
+        def recording(params, plan):
+            points.append((params.a0, params.a1, params.eta))
+            return cell_probabilities(params, plan)
+
+        monkeypatch.setattr(estimation, "cell_probabilities", recording)
+        spec = load_scenario("clean")
+        assert _single_start_fit(spec, _replication(spec, 0), 0.4).converged
+        assert points and len(set(points)) == len(points)
+        points.clear()
+        assert fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3)).converged
+        assert len(points) > 5 and len(set(points)) == len(points)
+
+    def test_covariance_is_the_sandwich_at_the_estimate(self):
+        for plan, _, result in _dataset_fits():
+            covariance, ill_conditioned = sandwich_covariance(
+                result.params, plan, result.beta
+            )
+            assert result.ill_conditioned == ill_conditioned
+            np.testing.assert_array_equal(result.covariance, covariance)
+
     def test_grad_norm_is_the_norm_of_the_estimating_residual(self):
-        # the memo hands out copies: the polish scales its residual in place
-        cases = []
-        for name in ("solar", "transistor", "led"):
-            bundle = load_dataset(name)
-            for beta in (0.0, 0.5, 1.0):
-                result = fit(bundle.plan, bundle.data, FitConfig(beta=beta))
-                cases.append((bundle.plan, bundle.data, result))
+        # the memo's residual is the one of the reported estimate
+        cases = list(_dataset_fits())
         spec = load_scenario("clean")
         for rep in range(3):
             data = _replication(spec, rep)
@@ -623,10 +655,10 @@ class TestScipyBlasScope:
         monkeypatch.setattr(estimation.optimize, "minimize", failing)
         with pytest.raises(NumericError, match="infeasible"):
             fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3))
-        # five starts plus the eight rescue starts, all on one thread
-        assert seen == [1] * 13
+        # all five starts ran on one thread
+        assert seen == [1] * 5
         assert caller_threads() == 2
-        # one feasible configured start (the third) leaves the rescue unused
+        # one feasible start (the third) is enough
         seen.clear()
         feasible.add(3)
         assert fit(SOLAR_PLAN, SOLAR_DATA, FitConfig(beta=0.3)).converged

@@ -149,6 +149,13 @@ class TestIntervalData:
         data = IntervalData(counts=[0.5, 1.25, 3.25], total=5)
         assert data.proportions == pytest.approx([0.1, 0.25, 0.65])
 
+    def test_fractional_total_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="whole number of devices, got 35.7"):
+            IntervalData(counts=[10.5, 20, 5.2], total=35.7)
+        for total in (7, 7.0, np.int64(7)):
+            data = IntervalData(counts=[1, 2, 4], total=total)
+            assert data.total == 7 and type(data.total) is int
+
     def test_cell_count_checked_against_plan(self):
         data = IntervalData(counts=[1.0, 2.0], total=3)
         with pytest.raises(ValueError, match="cells"):

@@ -101,6 +101,12 @@ class TestSimulateCounts:
         b = simulate_counts(CLEAN_PI, 200, np.random.default_rng(123))
         np.testing.assert_array_equal(a.counts, b.counts)
 
+    def test_fractional_device_count_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="whole number of devices, got 200.5"):
+            simulate_counts(CLEAN_PI, 200.5, np.random.default_rng(0))
+        data = simulate_counts(CLEAN_PI, 200.0, np.random.default_rng(0))
+        assert data.total == 200 and type(data.total) is int
+
     def test_mean_counts_track_probabilities(self):
         rng = np.random.default_rng(99)
         total = np.zeros_like(CLEAN_PI)
@@ -173,6 +179,7 @@ class TestScenarioSpec:
             ({"t_eval": np.nan}, "t must be positive and finite"),
             ({"t_eval": np.inf}, "t must be positive and finite"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 2.7}, "integer index"),
+            ({"n_devices": 200.5}, "n_devices must be a whole number, got 200.5"),
         ],
     )
     def test_validation(self, kwargs, match):

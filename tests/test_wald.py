@@ -81,6 +81,12 @@ class TestWaldStatistic:
         assert out.reject_at(0.05)
         assert out.reject_at(0.01)
 
+    def test_far_tail_p_value_does_not_underflow(self, solar):
+        # a0 = 0 lies about 9.9 standard errors off: 1 - cdf rounds to 0
+        out = wald_statistic(solar, linear_constraint([1.0, 0.0, 0.0], 0.0))
+        assert out.p_value > 0.0
+        assert out.p_value == pytest.approx(chi2.sf(out.statistic, 1), rel=1e-12)
+
     def test_invariant_under_constraint_rescaling(self, solar):
         result = solar
         base = wald_statistic(result, UNIT_SHAPE)

@@ -135,6 +135,10 @@ def commands(tmp: Path) -> list[list[str]]:
         ["simulate", "--scenario", "nosuch"],
         *(["simulate", "--scenario", files[name]]
           for name in ("cell_99.ini", "t_zero.ini", "x0_inf.ini", "null_slope_nan.ini")),
+        # a p-value far in the tail, and JSON with cells left empty by a missing --t
+        ["test", "--data", "solar", "--beta", "0", "--constraint", "1,0,0,0",
+         "--format", "csv"],
+        ["fit", "--data", "solar", "--beta", "0", "--format", "json"],
     ]
     return out
 

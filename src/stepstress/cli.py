@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .datasets import BUNDLED_DATASETS, load_dataset, parse_numbers
 from .errors import ConvergenceError, DataError, NumericError, StepStressError
-from .estimation import FitConfig, fit
+from .estimation import FitConfig, fit, fit_path
 from .influence import influence_report
 from .lifetime import characteristic_ci, param_ci
 from .montecarlo import BUNDLED_SCENARIOS, format_csv, load_scenario, run_scenario
@@ -152,11 +152,15 @@ def _load(args):
     return bundle, x0
 
 
-def _fit_one(bundle, beta: float):
-    result = fit(bundle.plan, bundle.data, FitConfig(beta=beta))
-    if not result.converged:
-        raise ConvergenceError(f"fit at beta={beta:g} did not converge")
-    return result
+def _fits(bundle, betas):
+    """Converged fits at betas along one beta path; raises at the first failure."""
+    configs = [FitConfig(beta=beta) for beta in betas]
+    for beta, result in zip(betas, fit_path(bundle.plan, bundle.data, configs, fit)):
+        if isinstance(result, Exception):
+            raise result
+        if not result.converged:
+            raise ConvergenceError(f"fit at beta={beta:g} did not converge")
+        yield result
 
 
 def _characteristics(result, bundle, x0, args):
@@ -191,17 +195,17 @@ FIT_COLUMNS = (
 
 def cmd_fit(args) -> str:
     bundle, x0 = _load(args)
-    betas = _parse_float_list(args.beta, "--beta") if args.beta else ()
     optimal = None
-    if not betas:
+    if args.beta:
+        betas = _parse_float_list(args.beta, "--beta")
+        results = _fits(bundle, betas)
+    else:
         tuned = select_beta(bundle.plan, bundle.data)
-        betas = (tuned.beta_opt,)
-        optimal = tuned.beta_opt
+        betas, optimal = (tuned.beta_opt,), tuned.beta_opt
+        results = (tuned.fit_opt,)  # converged: it won the selection
 
     rows, labels = [], []
-    for beta in betas:
-        # the tuned fit is converged and is the fit _fit_one would repeat
-        result = tuned.fit_opt if beta == optimal else _fit_one(bundle, beta)
+    for beta, result in zip(betas, results):
         cis = param_ci(result, args.confidence)
         theta = result.params.as_array()
         row = [beta]
@@ -236,7 +240,7 @@ CI_COLUMNS = (
 
 def cmd_ci(args) -> str:
     bundle, x0 = _load(args)
-    result = _fit_one(bundle, args.beta)
+    (result,) = _fits(bundle, (args.beta,))
     cis = param_ci(result, args.confidence)
     theta = result.params.as_array()
     ses = result.standard_errors
@@ -263,7 +267,7 @@ def cmd_ci(args) -> str:
 def cmd_test(args) -> str:
     bundle = load_dataset(args.data)
     constraint = _parse_constraint(args.constraint)
-    result = _fit_one(bundle, args.beta)
+    (result,) = _fits(bundle, (args.beta,))
     test = wald_statistic(result, constraint)
     rows = [[
         test.statistic,
@@ -313,7 +317,7 @@ def cmd_tune(args) -> str:
 
 def cmd_influence(args) -> str:
     bundle = load_dataset(args.data)
-    result = _fit_one(bundle, args.beta)
+    (result,) = _fits(bundle, (args.beta,))
     constraint = _parse_constraint(args.constraint) if args.constraint else None
     n_cells = bundle.plan.n_cells
     cells = [args.cell] if args.cell is not None else range(1, n_cells + 1)

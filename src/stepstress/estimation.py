@@ -40,6 +40,7 @@ __all__ = [
     "dpd_loss",
     "estimating_residual",
     "fit",
+    "fit_path",
     "fit_proportions",
     "invert_information",
     "sandwich_covariance",
@@ -106,7 +107,8 @@ class FitResult:
     ill_conditioned is set when the J matrix had to be pseudo-inverted
     (condition number beyond CONDITION_LIMIT). The pseudo-inverse gives the
     unidentified direction zero variance, so intervals and tests from such
-    a fit would be falsely sharp; see require_usable.
+    a fit would be falsely sharp; see require_usable. start_objectives has
+    the final objective of each start tried, inf where it did not converge.
     """
 
     params: ModelParams
@@ -117,6 +119,7 @@ class FitResult:
     grad_norm: float
     n_devices: int
     ill_conditioned: bool = False
+    start_objectives: tuple = ()
 
     def require_usable(self, action: str) -> None:
         """Refuse to back intervals or tests with a fit that cannot carry them.
@@ -177,10 +180,12 @@ def dpd_loss(p_hat, pi, beta: float) -> float:
     if beta < _KL_LIMIT_BETA:
         return float(np.sum(q - p) + np.sum(p[mask] * log_ratio))
     q_beta = q**beta
-    return float(
-        np.sum((q - p) * q_beta)
-        + np.sum(p[mask] * q_beta[mask] * (np.expm1(beta * log_ratio) / beta))
-    )
+    if beta < 25.0:  # where a floored pi^b is still a normal number
+        terms = p[mask] * q_beta[mask] * (np.expm1(beta * log_ratio) / beta)
+    else:  # the same terms, without the pi^b that underflows where expm1 overflows
+        big = np.maximum(p[mask], q[mask]) ** beta * np.sign(log_ratio)
+        terms = p[mask] * big * -np.expm1(-beta * np.abs(log_ratio)) / beta
+    return float(np.sum((q - p) * q_beta) + np.sum(terms))
 
 
 def estimating_residual(
@@ -350,13 +355,9 @@ def _pilot_start(plan: StressPlan, p_hat: np.ndarray) -> np.ndarray:
     return np.array([np.log(t[-1]), 0.0, 0.0])
 
 
-def _starting_points(plan: StressPlan, p_hat, count: int, centre: np.ndarray | None):
-    """The centre (the data-driven pilot when None) and count - 1 perturbations of it.
-
-    The pilot and the random generator are made only when they are used.
-    """
-    if centre is None:
-        centre = _pilot_start(plan, p_hat)
+def _starting_points(plan: StressPlan, p_hat, count: int):
+    """The data-driven pilot and count - 1 random perturbations of it (no generator for 1)."""
+    centre = _pilot_start(plan, p_hat)
     starts = [centre]
     if count > 1:
         rng = np.random.default_rng(1729)
@@ -367,13 +368,47 @@ def _starting_points(plan: StressPlan, p_hat, count: int, centre: np.ndarray | N
     return starts
 
 
-def fit(plan: StressPlan, data: IntervalData, config: FitConfig | None = None) -> FitResult:
-    """Fit the MDPDE for the configured beta on interval count data."""
+def fit(
+    plan: StressPlan, data: IntervalData, config: FitConfig | None = None, *, starts=None
+) -> FitResult:
+    """Fit the MDPDE for the configured beta on count data; starts as in fit_proportions."""
     config = config or FitConfig()
     data.validate_against(plan)
     if np.count_nonzero(data.counts) < 2:
         raise DataError("degenerate data: all observed mass in a single cell")
-    return fit_proportions(plan, data.proportions, data.total, config)
+    return fit_proportions(plan, data.proportions, data.total, config, starts=starts)
+
+
+def fit_path(plan: StressPlan, data: IntervalData, configs, fit=fit) -> list:
+    """Fit the data at each config in turn, walking along their betas.
+
+    Once the path holds a converged, well-conditioned estimate, a config
+    starts from the latest such estimate and the data-driven pilot; it gets
+    its configured starts instead unless that fit is converged and
+    well-conditioned, with no start converging 1e-10 relative higher.
+    Returns, per config, its FitResult or the exception its fit raised.
+    Callers pass their own ``fit``, so that a stub or wrapper there sees every fit.
+    """
+
+    def attempt(config, **starts):
+        try:
+            return fit(plan, data, config, **starts)
+        except Exception as exc:  # noqa: BLE001 - the caller decides what a failure means
+            return exc
+
+    def usable(result) -> bool:
+        return isinstance(result, FitResult) and result.converged and not result.ill_conditioned
+
+    results, warm = [], None
+    for config in configs:
+        result = None if warm is None else attempt(config, starts=warm)
+        if not (usable(result) and max(v for v in result.start_objectives if v < np.inf)
+                <= result.objective + 1e-10 * abs(result.objective)):
+            result = attempt(config)
+        if usable(result):
+            warm = (result.params, ModelParams(*_pilot_start(plan, data.proportions)[:2], 1.0))
+        results.append(result)
+    return results
 
 
 def fit_proportions(
@@ -382,7 +417,7 @@ def fit_proportions(
     n_devices: int,
     config: FitConfig | None = None,
     *,
-    start: ModelParams | None = None,
+    starts: tuple[ModelParams, ...] | None = None,
 ) -> FitResult:
     """Fit the MDPDE directly on a cell-proportion vector.
 
@@ -391,8 +426,9 @@ def fit_proportions(
     proportions do not come from integer counts. An estimate with a1 >= 0
     is returned with a ParameterSpaceWarning.
 
-    ``start``, such as the estimate at a neighbouring beta on the same
-    data, takes the data-driven pilot's place as the centre of the starts.
+    The optimizer runs from the data-driven pilot and multistart - 1
+    perturbations of it, or from exactly the given ``starts``, such as the
+    estimate at a neighbouring beta, and keeps the lowest objective.
     NumericError is raised when no start reaches a feasible point.
     """
     config = config or FitConfig()
@@ -478,14 +514,13 @@ def fit_proportions(
             pass
         return value, u
 
-    centre = None if start is None else np.array([start.a0, start.a1, np.log(start.eta)])
-    best_value, best_u = _INFEASIBLE, None
+    points = _starting_points(plan, p_hat, config.multistart) if starts is None else [
+        np.array([s.a0, s.a1, np.log(s.eta)]) for s in starts
+    ]
     with _SCIPY_BLAS.single(), np.errstate(all="ignore"):
-        for point in _starting_points(plan, p_hat, config.multistart, centre):
-            outcome = attempt(point)
-            if outcome is not None and outcome[0] < best_value:
-                best_value, best_u = outcome
-    if best_u is None:
+        outcomes = [attempt(point) or (_INFEASIBLE, None) for point in points]
+    best_value, best_u = min(outcomes, key=lambda outcome: outcome[0])
+    if best_value >= _INFEASIBLE:
         raise NumericError("all optimizer starts were infeasible")
 
     params, pi, w, residual = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
@@ -506,4 +541,9 @@ def fit_proportions(
         grad_norm=grad_norm,
         n_devices=n_devices,
         ill_conditioned=ill_conditioned,
+        start_objectives=tuple(
+            value if value < _INFEASIBLE and np.linalg.norm(evaluate(u)[3]) <= _GRAD_TOL
+            else np.inf
+            for value, u in outcomes
+        ),
     )

@@ -225,7 +225,7 @@ def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
     p_hat = simulate_counts(pi_gen, spec.n_devices, rng).proportions
     constraint = linear_constraint([0.0, 1.0, 0.0], spec.null_slope)
     out = np.zeros(len(spec.beta_grid), dtype=_RECORD)
-    start = None
+    starts = None
     for b, beta in enumerate(spec.beta_grid):
         try:
             with warnings.catch_warnings():
@@ -235,11 +235,11 @@ def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
                     p_hat,
                     spec.n_devices,
                     FitConfig(beta=beta, multistart=1),
-                    start=start,
+                    starts=starts,
                 )
                 if not result.converged:
                     continue
-                start = result.params
+                starts = (result.params,)
                 rel = characteristic_ci(
                     result, spec.plan, spec.x0, "reliability", spec.t_eval
                 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, NumericError
-from .estimation import FitConfig, FitResult, fit
+from .estimation import FitConfig, FitResult, fit, fit_path
 from .model import IntervalData, ModelParams, StressPlan
 
 DEFAULT_BETA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
@@ -85,25 +85,23 @@ def _grid_fits(
     plan: StressPlan, data: IntervalData, config: TuningConfig
 ) -> tuple[list[float], list[FitResult]]:
     template = config.fit_config if config.fit_config is not None else FitConfig()
+    configs = [replace(template, beta=beta) for beta in config.beta_grid]
     betas, fits = [], []
     n_ill_conditioned = 0
-    for beta in config.beta_grid:
-        try:
-            result = fit(plan, data, replace(template, beta=beta))
-        except Exception as exc:  # noqa: BLE001 - any failure just drops the point
-            reason = f"failed ({exc})"
+    for beta, result in zip(config.beta_grid, fit_path(plan, data, configs, fit)):
+        if isinstance(result, Exception):  # any failure just drops the point
+            reason = f"failed ({result})"
+        elif not result.converged:
+            reason = "did not converge"
+        elif result.ill_conditioned:
+            # the pseudo-inverse shrinks the covariance trace such a fit is
+            # scored by, so it would win the selection on a false variance
+            reason = "is ill-conditioned"
+            n_ill_conditioned += 1
         else:
-            if not result.converged:
-                reason = "did not converge"
-            elif result.ill_conditioned:
-                # the pseudo-inverse shrinks the covariance trace such a fit is
-                # scored by, so it would win the selection on a false variance
-                reason = "is ill-conditioned"
-                n_ill_conditioned += 1
-            else:
-                betas.append(beta)
-                fits.append(result)
-                continue
+            betas.append(beta)
+            fits.append(result)
+            continue
         warnings.warn(
             f"fit at beta={beta:g} {reason}; excluded from selection",
             RuntimeWarning,
@@ -125,10 +123,12 @@ def select_beta(
     """Iterated pilot-replacement selection of the tuning parameter.
 
     The candidate estimates depend only on the data, so they are fitted
-    once; each round scores them against the current pilot, takes the
-    minimizer (ties broken toward smaller beta, preferring efficiency),
-    and either stops — the winner moved less than ``epsilon`` from the
-    pilot — or promotes the winner to pilot and rescores.
+    once, as one beta path (estimation.fit_path: two starts per beta, the
+    configured ones only as fallback); each round scores them against the
+    current pilot, takes the minimizer (ties broken toward smaller beta,
+    preferring efficiency), and either stops — the winner moved less than
+    ``epsilon`` from the pilot — or promotes the winner to pilot and
+    rescores.
 
     Candidates whose fit fails, does not converge or is ill-conditioned
     are left out, each with a RuntimeWarning. Raises NumericError when

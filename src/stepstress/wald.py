@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, chdtri, chndtr, ndtr
+from scipy.special import chdtrc, chdtri, chndtr, gammaln, ndtr, xlogy
 
 from .errors import NumericError
 from .estimation import FitResult, sandwich_covariance
@@ -204,6 +204,11 @@ def contiguous_power(
         shift = constraint.coefficients @ np.asarray(d, dtype=float).reshape(3)
     else:
         shift = np.asarray(delta, dtype=float).reshape(constraint.r)
-    ncp = float(shift @ constraint.solve(sigma, shift))
+    ncp = max(float(shift @ constraint.solve(sigma, shift)), 0.0)
     critical = chdtri(constraint.r, alpha)
-    return float(1.0 - chndtr(critical, constraint.r, max(ncp, 0.0)))
+    power = 1.0 - chndtr(critical, constraint.r, ncp)
+    if power < 0.5:  # that cancels: sum a Poisson(ncp/2) mixture of chi-square tails
+        j = np.arange(int(ncp / 2 + 10.0 * np.sqrt(ncp / 2)) + 50)
+        weights = np.exp(xlogy(j, ncp / 2) - ncp / 2 - gammaln(j + 1.0))
+        power = weights @ chdtrc(constraint.r + 2.0 * j, critical)
+    return float(power)

@@ -98,6 +98,28 @@ class TestFit:
         assert round(row0["reliability"], 3) == 0.591
         assert round(row0["quantile"], 3) == 0.877
 
+    def test_beta_list_is_fitted_as_one_path(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(plan, data, config, *, starts=None):
+            calls.append(starts)
+            return fit(plan, data, config, starts=starts)
+
+        monkeypatch.setattr(cli, "fit", recording)
+        _, out = run_cli(
+            capsys, "fit", "--data", "transistor", "--beta", "0,0.5,1", "--format", "csv"
+        )
+        # the first beta from the configured starts, the others from the
+        # previous estimate and the pilot, with no fallback
+        assert calls[0] is None and [len(s) for s in calls[1:]] == [2, 2]
+        _, columns, rows = csv_table(out)
+        bundle = load_dataset("transistor")
+        for row in rows:
+            cold = fit(bundle.plan, bundle.data, FitConfig(beta=row[0])).params.as_array()
+            values = dict(zip(columns, row))
+            path = [values["a0"], values["a1"], values["eta"]]
+            np.testing.assert_allclose(path, cold, rtol=1e-10, atol=0.0)
+
     def test_metadata_header(self, capsys):
         _, out = run_cli(
             capsys, "fit", "--data", "solar", "--beta", "0", "--format", "csv"

@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stepstress.estimation as estimation
@@ -29,6 +29,7 @@ from stepstress.estimation import (
     dpd_loss,
     estimating_residual,
     fit,
+    fit_path,
     fit_proportions,
     sandwich_covariance,
     sandwich_matrices,
@@ -113,6 +114,27 @@ class TestDpdLoss:
     def test_negative_beta_raises(self):
         with pytest.raises(ValueError):
             dpd_loss([0.5, 0.5], [0.5, 0.5], -0.1)
+
+    @pytest.mark.parametrize("beta", [30.0, 100.0, 1000.0])
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            ([0.5, 0.5], [1e-13, 1 - 1e-13]),
+            ([0.2, 0.3, 0.5, 0.0], [1e-14, 0.4, 0.6 - 1e-14, 0.0]),
+        ],
+    )
+    def test_large_beta_is_finite_and_accurate(self, p, q, beta):
+        # a floored cell's pi^b underflows to 0 where expm1(b log(p/pi))
+        # overflows; their product was NaN from beta ~ 27
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            floored = [mpmath.mpf(max(x, PROBABILITY_FLOOR)) for x in q]
+            expected = sum(
+                qi ** (1 + b) - (1 + 1 / b) * pi * qi**b + pi ** (1 + b) / b
+                for pi, qi in zip(map(mpmath.mpf, p), floored)
+            )
+        assert dpd_loss(p, q, beta) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
 
     @given(
         st.lists(st.floats(0.01, 10.0), min_size=3, max_size=10),
@@ -447,8 +469,9 @@ def _single_start_fit(spec, data: IntervalData, beta: float, start=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = FitConfig(beta=beta, multistart=1)
+        starts = None if start is None else (start,)
         return fit_proportions(
-            spec.plan, data.proportions, spec.n_devices, config, start=start
+            spec.plan, data.proportions, spec.n_devices, config, starts=starts
         )
 
 
@@ -547,18 +570,18 @@ class TestFitWork:
         spec = load_scenario("clean")
         data = _replication(spec, 0)
         cases = (
-            # (start, multistart): rng seeds drawn, pilots computed
+            # (starts, multistart): rng seeds drawn, pilots computed
             ((None, 5), [1729], 1),
             ((None, 1), [], 1),
-            ((spec.theta_true, 1), [], 0),
-            ((spec.theta_true, 5), [1729], 0),
+            (((spec.theta_true,), 1), [], 0),
+            (((spec.theta_true,), 5), [], 0),
         )
-        for (start, multistart), want_seeds, want_pilots in cases:
+        for (starts, multistart), want_seeds, want_pilots in cases:
             seeds.clear()
             pilots.clear()
             result = fit_proportions(
                 spec.plan, data.proportions, spec.n_devices,
-                FitConfig(beta=0.4, multistart=multistart), start=start,
+                FitConfig(beta=0.4, multistart=multistart), starts=starts,
             )
             assert result.converged
             assert (seeds, len(pilots)) == (want_seeds, want_pilots)
@@ -597,6 +620,75 @@ class TestFitWork:
         for plan, data, result in cases:
             residual = estimating_residual(result.params, plan, data, result.beta)
             assert result.grad_norm == np.linalg.norm(residual)
+
+
+def _usable(result) -> bool:
+    return isinstance(result, FitResult) and result.converged and not result.ill_conditioned
+
+
+@functools.cache
+def _bundled_beta0(name):
+    bundle = load_dataset(name)
+    return bundle.plan, fit(bundle.plan, bundle.data).params
+
+
+class TestFitPath:
+    """fit_path against fitting every beta from the configured cold starts."""
+
+    def test_fallback_recovers_a_fit_both_starts_miss(self):
+        # a problem of the path's census (seed 11, no. 22): the transistor
+        # design with 290 of 300 devices surviving. At beta = 0.7 neither
+        # the beta = 0.6 estimate nor the pilot converges; the configured
+        # starts do
+        plan = load_dataset("transistor").plan
+        data = IntervalData([0, 0, 0, 0, 0, 1, 2, 1, 0, 6, 290], 300)
+        configs = [FitConfig(beta=0.6), FitConfig(beta=0.7)]
+        calls = []
+
+        def recording(plan, data, config, *, starts=None):
+            calls.append((config.beta, starts is not None, fit(plan, data, config, starts=starts)))
+            return calls[-1][2]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = fit_path(plan, data, configs, recording)
+            warm_only = fit(plan, data, configs[1], starts=(path[0].params,))
+            cold = fit(plan, data, configs[1])
+        assert [call[:2] for call in calls] == [(0.6, False), (0.7, True), (0.7, False)]
+        assert not warm_only.converged and not calls[1][2].converged
+        assert _usable(path[1]) and path[1].params == cold.params
+
+    @settings(
+        derandomize=True,
+        max_examples=9,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        name=st.sampled_from(("solar", "transistor", "led")),
+        scale=st.tuples(*[st.floats(0.7, 1.3)] * 3),
+        n_devices=st.sampled_from([10, 30, 100, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loses_no_cold_fit(self, name, scale, n_devices, seed):
+        # problems as in the path's census: theta within 30 % of the
+        # dataset's beta = 0 fit, multinomial counts
+        plan, centre = _bundled_beta0(name)
+        theta = ModelParams(*(centre.as_array() * scale))
+        rng = np.random.default_rng(seed)
+        data = IntervalData(rng.multinomial(n_devices, cell_probabilities(theta, plan)), n_devices)
+        configs = [FitConfig(beta=beta) for beta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = fit_path(plan, data, configs)
+            for config, result in zip(configs, path):
+                try:
+                    cold = fit(plan, data, config)
+                except (DataError, NumericError):
+                    continue
+                if _usable(cold):
+                    assert _usable(result)
+                    assert result.objective <= cold.objective + 1e-10 * abs(cold.objective)
 
 
 # ---------------------------------------------------------------------------

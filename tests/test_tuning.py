@@ -181,8 +181,8 @@ class TestSelectBeta:
                 select_beta(plan, data)
 
     def test_ill_conditioned_candidate_left_out(self, monkeypatch):
-        def flag_beta_zero(plan, data, config):
-            result = fit(plan, data, config)
+        def flag_beta_zero(plan, data, config, *, starts=None):
+            result = fit(plan, data, config, starts=starts)
             return dataclasses.replace(result, ill_conditioned=config.beta == 0.0)
 
         monkeypatch.setattr(tuning, "fit", flag_beta_zero)
@@ -192,6 +192,43 @@ class TestSelectBeta:
         assert 0.0 not in result.mse_curve[:, 0]
         assert len(result.mse_curve) == len(DEFAULT_BETA_GRID) - 1
         assert result.beta_opt > 0.0
+
+    # LED's fits are weakly identified (standard errors 4-13 times their
+    # estimates), and their covariance follows an estimate's last digits
+    # 1e8-fold: at beta = 1, estimates 1.4e-14 apart give traces 2e-6 apart
+    @pytest.mark.parametrize(
+        "name,mse_rtol", [("solar", 1e-10), ("transistor", 1e-10), ("led", 1e-5)]
+    )
+    def test_beta_path_matches_cold_fits(self, name, mse_rtol, monkeypatch):
+        # the same selection and estimates as fitting every grid beta from
+        # the five cold starts, while each beta after the first is fitted
+        # from two starts
+        bundle = load_dataset(name)
+        fit_path, path_fits, cold_fits = tuning.fit_path, [], []
+
+        def recorded_path(plan, data, configs, fit):
+            path_fits.extend(fit_path(plan, data, configs, fit))
+            return path_fits
+
+        def cold_path(plan, data, configs, fit):
+            cold_fits.extend(fit(plan, data, config) for config in configs)
+            return cold_fits
+
+        monkeypatch.setattr(tuning, "fit_path", recorded_path)
+        path = select_beta(bundle.plan, bundle.data)
+        monkeypatch.setattr(tuning, "fit_path", cold_path)
+        cold = select_beta(bundle.plan, bundle.data)
+        # no fallback on the bundled data
+        assert [len(f.start_objectives) for f in path_fits] == [5] + [2] * 10
+        assert (path.beta_opt, path.rounds) == (cold.beta_opt, cold.rounds)
+        np.testing.assert_array_equal(path.mse_curve[:, 0], cold.mse_curve[:, 0])
+        np.testing.assert_allclose(path.mse_curve, cold.mse_curve, rtol=mse_rtol, atol=0)
+        assert len(path_fits) == len(cold_fits)
+        for warm, cold_fit in zip(path_fits, cold_fits):
+            np.testing.assert_allclose(
+                warm.params.as_array(), cold_fit.params.as_array(), rtol=1e-10, atol=0
+            )
+            assert warm.objective == pytest.approx(cold_fit.objective, rel=1e-10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, kstest, norm
+from scipy.stats import chi2, kstest, ncx2, norm
 
 from stepstress.datasets import load_dataset
 from stepstress.errors import NumericError
@@ -311,6 +311,23 @@ class TestContiguousPower:
                 SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, alpha, d=[0.0, 0.0, 0.0]
             )
             assert power == pytest.approx(alpha, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-12, 1e-17])
+    def test_zero_shift_recovers_a_tiny_level(self, alpha):
+        # 1 - chndtr(...) gave 9.99978e-13 at alpha = 1e-12 and 0 at 1e-17
+        power = contiguous_power(SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, alpha, delta=[0.0])
+        assert power == pytest.approx(alpha, rel=1e-10, abs=0.0)
+
+    def test_small_power_matches_the_noncentral_upper_tail(self):
+        sigma, _ = sandwich_covariance(SIM_THETA, SIM_PLAN, 0.0)
+        c = NULL_SLOPE.coefficients
+        inner = float((c @ sigma @ c.T)[0, 0])
+        for alpha, ncp in ((1e-12, 0.5), (1e-12, 20.0), (1e-17, 3.0), (0.05, 1.0)):
+            power = contiguous_power(
+                SIM_THETA, SIM_PLAN, NULL_SLOPE, 0.0, alpha, delta=[np.sqrt(ncp * inner)]
+            )
+            expected = ncx2.sf(chi2.isf(alpha, 1), 1, ncp)
+            assert power == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_d_and_delta_forms_agree(self):
         d = np.array([0.3, -0.04, 0.5])

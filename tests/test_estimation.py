@@ -636,10 +636,9 @@ class TestFitPath:
     """fit_path against fitting every beta from the configured cold starts."""
 
     def test_fallback_recovers_a_fit_both_starts_miss(self):
-        # a problem of the path's census (seed 11, no. 22): the transistor
-        # design with 290 of 300 devices surviving. At beta = 0.7 neither
-        # the beta = 0.6 estimate nor the pilot converges; the configured
-        # starts do
+        # a hard draw near the transistor fit: 290 of 300 devices survive.
+        # At beta = 0.7 neither the beta = 0.6 estimate nor the pilot
+        # converges; the configured starts do
         plan = load_dataset("transistor").plan
         data = IntervalData([0, 0, 0, 0, 0, 1, 2, 1, 0, 6, 290], 300)
         configs = [FitConfig(beta=0.6), FitConfig(beta=0.7)]
@@ -671,8 +670,7 @@ class TestFitPath:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_loses_no_cold_fit(self, name, scale, n_devices, seed):
-        # problems as in the path's census: theta within 30 % of the
-        # dataset's beta = 0 fit, multinomial counts
+        # theta within 30 % of the dataset's beta = 0 fit, multinomial counts
         plan, centre = _bundled_beta0(name)
         theta = ModelParams(*(centre.as_array() * scale))
         rng = np.random.default_rng(seed)

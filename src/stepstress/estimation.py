@@ -94,8 +94,10 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta < np.inf:
             raise ValueError("beta must be finite and >= 0")
-        if self.multistart <= 0:
+        multistart = _integral(self.multistart, "multistart must be a whole number")
+        if multistart <= 0:
             raise ValueError("multistart must be positive")
+        object.__setattr__(self, "multistart", multistart)
 
 
 @dataclass(frozen=True)
@@ -383,8 +385,9 @@ def fit_path(plan: StressPlan, data: IntervalData, configs, fit=fit) -> list:
     """Fit the data at each config in turn, walking along their betas.
 
     Once the path holds a converged, well-conditioned estimate, a config
-    starts from the latest such estimate and the data-driven pilot; it gets
-    its configured starts instead unless that fit is converged and
+    starts from the first ``multistart`` of (the latest such estimate, the
+    data-driven pilot), so each later beta costs min(multistart, 2) starts.
+    It gets its configured starts instead unless that fit is converged and
     well-conditioned, with no start converging 1e-10 relative higher.
     Returns, per config, its FitResult or the exception its fit raised.
     Callers pass their own ``fit``, so that a stub or wrapper there sees every fit.
@@ -399,14 +402,15 @@ def fit_path(plan: StressPlan, data: IntervalData, configs, fit=fit) -> list:
     def usable(result) -> bool:
         return isinstance(result, FitResult) and result.converged and not result.ill_conditioned
 
-    results, warm = [], None
+    results, warm, pilot = [], None, None
     for config in configs:
-        result = None if warm is None else attempt(config, starts=warm)
+        result = None if warm is None else attempt(config, starts=warm[: config.multistart])
         if not (usable(result) and max(v for v in result.start_objectives if v < np.inf)
                 <= result.objective + 1e-10 * abs(result.objective)):
             result = attempt(config)
-        if usable(result):
-            warm = (result.params, ModelParams(*_pilot_start(plan, data.proportions)[:2], 1.0))
+        if usable(result):  # the pilot once, from data that a fit has accepted
+            pilot = pilot or ModelParams(*_pilot_start(plan, data.proportions)[:2], 1.0)
+            warm = (result.params, pilot)
         results.append(result)
     return results
 

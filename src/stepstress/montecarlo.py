@@ -31,7 +31,7 @@ import numpy as np
 
 from .datasets import parse_numbers, read_bundled_or_file
 from .errors import DataError, StepStressError
-from .estimation import FitConfig, fit_proportions
+from .estimation import FitConfig, fit_path, fit_proportions
 from .lifetime import characteristic_ci, mean_lifetime, reliability
 from .model import IntervalData, ModelParams, StressPlan, _integral, cell_probabilities
 from .wald import linear_constraint, wald_statistic
@@ -96,12 +96,12 @@ class ScenarioSpec:
     t_eval: float = 40.0
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        n_devices = _integral(self.n_devices, "n_devices must be a whole number")
-        if n_devices < 1:
-            raise ValueError("n_devices must be at least 1")
-        object.__setattr__(self, "n_devices", n_devices)
+        for name in ("replications", "n_devices", "seed"):
+            value = _integral(getattr(self, name), f"{name} must be a whole number")
+            object.__setattr__(self, name, value)
+        for name in ("replications", "n_devices"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.theta_tilde is None) != (self.contaminated_cell is None):
@@ -218,44 +218,35 @@ _RECORD = np.dtype([
 def _replicate(spec: ScenarioSpec, pi_gen: np.ndarray, rep: int) -> np.ndarray:
     """Fit every beta on one replication; one _RECORD per beta.
 
-    Each fit starts from the last converged estimate of this replication,
-    in grid order, and the first from the data-driven pilot.
+    The grid is one estimation.fit_path at multistart = 1, so each beta
+    after the first starts from this replication's latest usable estimate
+    alone, with the data-driven pilot as fallback. A beta is left out when
+    a StepStressError or a non-converged fit stops it.
     """
     rng = np.random.default_rng([spec.seed, rep])
-    p_hat = simulate_counts(pi_gen, spec.n_devices, rng).proportions
+    data = simulate_counts(pi_gen, spec.n_devices, rng)
     constraint = linear_constraint([0.0, 1.0, 0.0], spec.null_slope)
+    configs = [FitConfig(beta=beta, multistart=1) for beta in spec.beta_grid]
     out = np.zeros(len(spec.beta_grid), dtype=_RECORD)
-    starts = None
-    for b, beta in enumerate(spec.beta_grid):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = fit_proportions(
-                    spec.plan,
-                    p_hat,
-                    spec.n_devices,
-                    FitConfig(beta=beta, multistart=1),
-                    starts=starts,
-                )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = fit_path(spec.plan, data, configs, lambda plan, counts, config, **starts: (
+            fit_proportions(plan, counts.proportions, counts.total, config, **starts)))
+        for b, result in enumerate(path):
+            try:
+                if isinstance(result, Exception):
+                    raise result
                 if not result.converged:
                     continue
-                starts = (result.params,)
-                rel = characteristic_ci(
-                    result, spec.plan, spec.x0, "reliability", spec.t_eval
-                )
+                rel = characteristic_ci(result, spec.plan, spec.x0, "reliability", spec.t_eval)
                 mean = characteristic_ci(result, spec.plan, spec.x0, "mean")
                 test = wald_statistic(result, constraint)
-        except StepStressError:
-            continue
-        out[b] = (
-            True,
-            result.params.as_array(),
-            rel.value,
-            (rel.ci_direct, rel.ci_transformed),
-            mean.value,
-            (mean.ci_direct, mean.ci_transformed),
-            test.reject_at(0.05),
-        )
+            except StepStressError:
+                continue
+            out[b] = (True, result.params.as_array(),
+                      rel.value, (rel.ci_direct, rel.ci_transformed),
+                      mean.value, (mean.ci_direct, mean.ci_transformed),
+                      test.reject_at(0.05))
     return out
 
 
@@ -277,6 +268,7 @@ def run_scenario(spec: ScenarioSpec, n_jobs: int = 1) -> MetricsTable:
     processes. Aggregation always proceeds in replication order, so the
     resulting table is identical for any job count.
     """
+    n_jobs = _integral(n_jobs, "n_jobs must be a whole number")
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
     pi_gen = spec.generating_probabilities()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError
 from .estimation import FitConfig, FitResult, fit, fit_path
-from .model import IntervalData, ModelParams, StressPlan
+from .model import IntervalData, ModelParams, StressPlan, _integral
 
 DEFAULT_BETA_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
@@ -47,8 +47,10 @@ class TuningConfig:
             raise ValueError("beta_grid values must lie in [0, 1]")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.max_rounds < 1:
+        max_rounds = _integral(self.max_rounds, "max_rounds must be a whole number")
+        if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        object.__setattr__(self, "max_rounds", max_rounds)
         object.__setattr__(self, "beta_grid", tuple(float(b) for b in grid))
 
 
@@ -123,12 +125,12 @@ def select_beta(
     """Iterated pilot-replacement selection of the tuning parameter.
 
     The candidate estimates depend only on the data, so they are fitted
-    once, as one beta path (estimation.fit_path: two starts per beta, the
-    configured ones only as fallback); each round scores them against the
-    current pilot, takes the minimizer (ties broken toward smaller beta,
-    preferring efficiency), and either stops — the winner moved less than
-    ``epsilon`` from the pilot — or promotes the winner to pilot and
-    rescores.
+    once, as one beta path (estimation.fit_path: min(multistart, 2) starts
+    per beta after the first, the configured ones only as fallback); each
+    round scores them against the current pilot, takes the minimizer (ties
+    broken toward smaller beta, preferring efficiency), and either stops —
+    the winner moved less than ``epsilon`` from the pilot — or promotes the
+    winner to pilot and rescores.
 
     Candidates whose fit fails, does not converge or is ill-conditioned
     are left out, each with a RuntimeWarning. Raises NumericError when

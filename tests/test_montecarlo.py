@@ -180,6 +180,8 @@ class TestScenarioSpec:
             ({"t_eval": np.inf}, "t must be positive and finite"),
             ({"theta_tilde": SIM_THETA, "contaminated_cell": 2.7}, "integer index"),
             ({"n_devices": 200.5}, "n_devices must be a whole number, got 200.5"),
+            ({"replications": 2.5}, "replications must be a whole number, got 2.5"),
+            ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -187,6 +189,14 @@ class TestScenarioSpec:
         base.update(kwargs)
         with pytest.raises(ValueError, match=match):
             ScenarioSpec(**base)
+
+    def test_integral_counts_become_ints(self):
+        spec = ScenarioSpec(
+            plan=SIM_PLAN, theta_true=SIM_THETA, replications=3.0, seed=np.int64(1),
+            n_devices=20.0,
+        )
+        assert [type(v) for v in (spec.replications, spec.seed, spec.n_devices)] == [int] * 3
+        assert (spec.replications, spec.seed, spec.n_devices) == (3, 1, 20)
 
 
 class TestLoadScenario:
@@ -365,7 +375,7 @@ class TestRunScenario:
         assert sizes == [2]
         assert pooled.to_csv() == run_scenario(spec).to_csv()
 
-    @pytest.mark.parametrize("n_jobs", [0, -3])
+    @pytest.mark.parametrize("n_jobs", [0, -3, 2.5])
     def test_jobs_below_one_raise(self, small_table, n_jobs):
         spec, _ = small_table
         with pytest.raises(ValueError, match="n_jobs"):
@@ -412,6 +422,32 @@ class TestRunScenario:
         assert row["n_failed"] == 4.0
         assert row["unreliable"] == 1.0
         assert np.isnan(row["rmse_overall"])
+
+    def test_replication_falls_back_to_the_pilot(self, monkeypatch):
+        # every warm start fails to converge; each beta after the first is
+        # then fitted from the data-driven pilot rather than left out
+        from stepstress import montecarlo
+
+        fit_proportions = montecarlo.fit_proportions
+        warm_calls = []
+
+        def warm_fails(plan, p_hat, n_devices, config, *, starts=None):
+            result = fit_proportions(plan, p_hat, n_devices, config, starts=starts)
+            if starts is None:
+                return result
+            warm_calls.append(len(starts))
+            return replace(result, converged=False)
+
+        monkeypatch.setattr(montecarlo, "fit_proportions", warm_fails)
+        spec = ScenarioSpec(
+            plan=SIM_PLAN, theta_true=SIM_THETA, replications=3, seed=42,
+            beta_grid=(0.0, 0.5, 1.0),
+        )
+        records = [
+            montecarlo._replicate(spec, spec.generating_probabilities(), rep) for rep in range(3)
+        ]
+        assert warm_calls == [1] * 6
+        assert all(record["ok"].all() for record in records)
 
     def test_contaminated_scenario_runs(self):
         spec = ScenarioSpec(

@@ -244,6 +244,11 @@ class TestSelectBeta:
         with pytest.raises(ValueError, match="max_rounds"):
             TuningConfig(max_rounds=0)
 
+    def test_max_rounds_must_be_whole(self):
+        assert TuningConfig(max_rounds=3.0).max_rounds == 3
+        with pytest.raises(ValueError, match="max_rounds must be a whole number, got 2.5"):
+            TuningConfig(max_rounds=2.5)
+
     @pytest.mark.parametrize("grid", [(np.nan, 0.5), (0.0, np.nan, 1.0)])
     def test_nan_in_grid_raises(self, grid):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):

@@ -55,16 +55,16 @@ PROBABILITY_FLOOR = 1e-12
 
 _INFEASIBLE = 1e12
 
-# Solver settings: iteration cap per optimizer start, estimating-equation
-# norm below which a fit counts as converged, and step tolerance of the
-# final root polish.
+# Solver settings: iteration cap of L-BFGS-B and of the Newton polish per
+# start, estimating-equation norm below which a fit counts as converged,
+# and relative step length at which the polish stops.
 _MAX_ITERS = 500
 _GRAD_TOL = 1e-8
 _PARAM_TOL = 1e-10
-# L-BFGS-B stops at these relative-decrease and projected-gradient
-# tolerances. It only has to reach the basin of the hybr polish, which then
-# solves the estimating equations to rounding level; the polished point
-# still has to meet _GRAD_TOL for the fit to count as converged.
+# L-BFGS-B stops at these relative-decrease and projected-gradient tolerances.
+# It only has to reach the basin of the Newton polish, which then solves the
+# estimating equations to rounding level with their exact Jacobian; the polished
+# point still has to meet _GRAD_TOL for the fit to count as converged.
 _LBFGS_FTOL = 1e-10
 _LBFGS_GTOL = 1e-7
 
@@ -202,10 +202,10 @@ def estimating_residual(
     return _residual(*_cells(params, plan), data.proportions, beta)
 
 
-def _cells(params: ModelParams, plan: StressPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Floored cell probabilities pi and their gradient W at params."""
+def _cells(params: ModelParams, plan: StressPlan, curvature: bool = False) -> tuple:
+    """Floored cell probabilities pi and gradient_matrix(params, plan, curvature)."""
     pi = np.maximum(cell_probabilities(params, plan), PROBABILITY_FLOOR)
-    return pi, gradient_matrix(params, plan)
+    return pi, gradient_matrix(params, plan, curvature)
 
 
 def _residual(pi, w, p_hat, beta: float) -> np.ndarray:
@@ -386,8 +386,9 @@ def fit_path(plan: StressPlan, data: IntervalData, configs, fit=fit) -> list:
 
     Once the path holds a converged, well-conditioned estimate, a config
     starts from the first ``multistart`` of (the latest such estimate, the
-    data-driven pilot), so each later beta costs min(multistart, 2) starts.
-    It gets its configured starts instead unless that fit is converged and
+    data-driven pilot), so each later beta costs min(multistart, 2) starts;
+    the pilot is computed once, and only if a config takes it. A config
+    gets its configured starts instead unless that fit is converged and
     well-conditioned, with no start converging 1e-10 relative higher.
     Returns, per config, its FitResult or the exception its fit raised.
     Callers pass their own ``fit``, so that a stub or wrapper there sees every fit.
@@ -402,15 +403,17 @@ def fit_path(plan: StressPlan, data: IntervalData, configs, fit=fit) -> list:
     def usable(result) -> bool:
         return isinstance(result, FitResult) and result.converged and not result.ill_conditioned
 
-    results, warm, pilot = [], None, None
+    results, estimate, pilot = [], None, None
     for config in configs:
-        result = None if warm is None else attempt(config, starts=warm[: config.multistart])
+        if estimate is not None and config.multistart > 1:  # once, from data a fit accepted
+            pilot = pilot or ModelParams(*_pilot_start(plan, data.proportions)[:2], 1.0)
+        warm = () if estimate is None else (estimate, pilot)[: config.multistart]
+        result = attempt(config, starts=warm) if warm else None
         if not (usable(result) and max(v for v in result.start_objectives if v < np.inf)
                 <= result.objective + 1e-10 * abs(result.objective)):
             result = attempt(config)
-        if usable(result):  # the pilot once, from data that a fit has accepted
-            pilot = pilot or ModelParams(*_pilot_start(plan, data.proportions)[:2], 1.0)
-            warm = (result.params, pilot)
+        if usable(result):
+            estimate = result.params
         results.append(result)
     return results
 
@@ -445,78 +448,126 @@ def fit_proportions(
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     beta = config.beta
-    # L-BFGS-B works in v = (a0 + c a1, d a1, log eta), c the mean and d the
-    # range of the stress levels: far from stress 0, a0 and a1 are nearly
-    # collinear, and centring and scaling the stress takes that out of the
-    # quasi-Newton problem. Starts, polish and result stay in u.
+    # Each start's L-BFGS-B works in v = L'(u - start), with L L' the DPD Hessian in u
+    # at the start, which is the identity in v there. Where that Hessian is not
+    # positive definite, v = (a0 + c a1, d a1, log eta), c the mean and d the range
+    # of the stress levels: this takes out the near-collinearity of a0 and a1 far
+    # from stress 0. Polish and result stay in u.
     c = float(np.mean(plan.stress_levels))
     d = float(np.ptp(plan.stress_levels)) or 1.0
-    v_of_u = np.array([[1.0, c, 0.0], [0.0, d, 0.0], [0.0, 0.0, 1.0]])
-    u_of_v = np.array([[1.0, -c / d, 0.0], [0.0, 1.0 / d, 0.0], [0.0, 0.0, 1.0]])
+    v_of_centred = np.array([[1.0, c, 0.0], [0.0, d, 0.0], [0.0, 0.0, 1.0]])
+    u_of_centred = np.array([[1.0, -c / d, 0.0], [0.0, 1.0 / d, 0.0], [0.0, 0.0, 1.0]])
     memo = {}
 
     def evaluate(u: np.ndarray) -> tuple | None:
-        # (params, pi, W, residual) at u = (a0, a1, log eta), kept for every
-        # (a0, a1, eta) the solvers or the covariance ask for again; None
-        # where the model or the residual in u, r * [1, 1, eta], is not finite.
+        # (params, pi, W, residual, W's curvature contraction) at u = (a0, a1, log eta),
+        # kept for every (a0, a1, eta) the solvers or the covariance ask for again;
+        # None where the model or the residual in u, r * [1, 1, eta], is not finite.
         key = (float(u[0]), float(u[1]), float(np.exp(u[2])))
         if key not in memo:
-            params = ModelParams(*key)
-            try:
-                pi, w = _cells(params, plan)
-            except NumericError:
+            try:  # ModelParams refuses an eta that overflowed or vanished
+                params = ModelParams(*key)
+                pi, (w, contract) = _cells(params, plan, curvature=True)
+            except (ValueError, NumericError):
                 memo[key] = None
             else:
                 residual = _residual(pi, w, p_hat, beta)
                 finite = np.all(np.isfinite(residual * [1.0, 1.0, params.eta]))
-                memo[key] = (params, pi, w, residual) if finite else None
+                memo[key] = (params, pi, w, residual, contract) if finite else None
         return memo[key]
 
     def value_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
         cells = evaluate(u)
         if cells is not None:
-            params, pi, _, residual = cells
+            params, pi, _, residual, _ = cells
             value = dpd_loss(p_hat, pi, beta)
             if np.isfinite(value):  # eta: the chain rule for the log-eta coordinate
                 return value, (-(beta + 1.0) * residual) * [1.0, 1.0, params.eta]
         return _INFEASIBLE, np.zeros(3)
 
-    def value_and_grad_v(v: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = value_and_grad(u_of_v @ v)
+    def value_and_grad_v(v: np.ndarray, origin, u_of_v) -> tuple[float, np.ndarray]:
+        value, grad = value_and_grad(origin + u_of_v @ v)
         return value, u_of_v.T @ grad  # the gradient maps by the transpose
 
-    def residual_u(u: np.ndarray) -> np.ndarray:
+    def derivatives(u: np.ndarray) -> tuple | None:
+        # (r, dr/dw, DPD Hessian in u) at u, or None. With q = pi^(beta-1) (p_hat - pi),
+        # J = dr/dtheta = sum_c q_c d2 pi_c + W' diag(dq/dpi) W; the Hessian in u is
+        # -(beta + 1) (S J S + diag(0, 0, eta r_eta)), S = diag(1, 1, eta), and the polish
+        # works in w = (eta a0, eta a1, eta), where weakly identified valleys are straighter
         cells = evaluate(u)
         if cells is None:
-            return np.full(3, 1e6)
-        return cells[3] * [1.0, 1.0, cells[0].eta]
+            return None
+        params, pi, w, r, contract = cells
+        a0, a1, eta = params.a0, params.a1, params.eta
+        dq = pi ** (beta - 2.0) * ((beta - 1.0) * (p_hat - pi) - pi)
+        jac = contract(pi ** (beta - 1.0) * (p_hat - pi)) + (w.T * dq) @ w
+        s = np.array([1.0, 1.0, eta])
+        hessian = -(beta + 1.0) * (jac * np.outer(s, s) + np.diag([0.0, 0.0, eta * r[2]]))
+        jac_w = jac @ np.array([[1 / eta, 0.0, -a0 / eta], [0.0, 1 / eta, -a1 / eta], [0, 0, 1]])
+        return (r, jac_w, hessian) if np.all(np.isfinite(jac)) else None
+
+    def frame(start: np.ndarray) -> tuple:
+        # (origin, u_of_v, v at the start) of the start's coordinates, above
+        terms = derivatives(start)
+        if terms is not None:
+            try:
+                return start, np.linalg.inv(np.linalg.cholesky(terms[2]).T), np.zeros(3)
+            except np.linalg.LinAlgError:
+                pass
+        return np.zeros(3), u_of_centred, v_of_centred @ start
+
+    def polish(u: np.ndarray, value: float) -> tuple[float, np.ndarray]:
+        # Newton on the estimating equations in w with their exact Jacobian J, damped
+        # as in Levenberg-Marquardt, (J'J + mu diag(J'J)) step = -J'r, once a plain
+        # Newton step (mu = 0) fails. A step is kept only if it is shorter than 1 and
+        # lowers |r|; mu then follows Nielsen's rule and returns to 0 below 1e-15. The
+        # polish ends after a refused or undamped step below _PARAM_TOL, and its point
+        # replaces u unless the objective rose by more than 1e-12 (1 + |value|).
+        polished, x, terms = u, np.exp(u[2]) * np.array([u[0], u[1], 1.0]), derivatives(u)
+        mu, growth = 0.0, 2.0
+        for _ in range(_MAX_ITERS):
+            if terms is None:
+                break
+            r, jac, _ = terms
+            jtj = jac.T @ jac
+            try:
+                step = np.linalg.solve(jac, -r) if mu == 0.0 else np.linalg.solve(
+                    jtj + mu * np.diag(np.diag(jtj)), -jac.T @ r)
+            except np.linalg.LinAlgError:
+                step = np.full(3, np.inf)
+            size, trial_x = np.linalg.norm(step), x + step
+            trial = np.array([trial_x[0] / trial_x[2], trial_x[1] / trial_x[2], np.log(trial_x[2])])
+            cells = evaluate(trial) if size < 1.0 else None
+            norm, trial_norm = np.linalg.norm(r), np.linalg.norm(cells[3]) if cells else np.inf
+            done = size <= _PARAM_TOL * (1.0 + np.linalg.norm(trial_x)) and (
+                mu == 0.0 or trial_norm >= norm)
+            if trial_norm < norm:
+                gain = (norm**2 - trial_norm**2) / (norm**2 - np.linalg.norm(r + jac @ step) ** 2)
+                mu, growth = mu * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
+                mu = mu if mu > 1e-15 else 0.0
+                polished, x, terms = trial, trial_x, None if done else derivatives(trial)
+            else:
+                mu, growth = mu * growth if mu else 1e-3, 2 * growth
+            if done:
+                break
+        polished_value = value_and_grad(polished)[0] if polished is not u else np.inf
+        return (polished_value, polished) if polished_value <= value + 1e-12 * (
+            1 + abs(value)) else (value, u)
 
     def attempt(start):
+        origin, u_of_v, v_start = frame(start)
         try:
             opt = optimize.minimize(
                 value_and_grad_v,
-                v_of_u @ start,
+                v_start,
+                args=(origin, u_of_v),
                 jac=True,
                 method="L-BFGS-B",
                 options=dict(maxiter=_MAX_ITERS, ftol=_LBFGS_FTOL, gtol=_LBFGS_GTOL, maxls=60),
             )
         except ValueError:
             return None
-        u, value = u_of_v @ opt.x, float(opt.fun)
-        # polish by solving the estimating equations from the minimizer; hybr
-        # can lower the residual to rounding level and still fail its step test
-        try:
-            root = optimize.root(residual_u, u, method="hybr", options={"xtol": _PARAM_TOL})
-            solved = root.success or (
-                np.linalg.norm(root.fun) < np.linalg.norm(residual_u(u))
-            )
-            if solved and np.linalg.norm(root.x - u) < 1.0:
-                polished_value = value_and_grad(root.x)[0]
-                if polished_value <= value + 1e-12 * (1 + abs(value)):
-                    u, value = root.x, polished_value
-        except ValueError:
-            pass
-        return value, u
+        return polish(origin + u_of_v @ opt.x, float(opt.fun))
 
     points = _starting_points(plan, p_hat, config.multistart) if starts is None else [
         np.array([s.a0, s.a1, np.log(s.eta)]) for s in starts
@@ -527,7 +578,7 @@ def fit_proportions(
     if best_value >= _INFEASIBLE:
         raise NumericError("all optimizer starts were infeasible")
 
-    params, pi, w, residual = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
+    params, pi, w, residual, _ = evaluate(best_u)  # feasible: it scored below _INFEASIBLE
     if params.a1 >= 0:
         warnings.warn(
             "a1 >= 0: lifetimes do not shorten with stress",

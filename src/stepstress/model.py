@@ -211,13 +211,15 @@ class ShiftTerms:
 
     alphas[i] is the Weibull scale at level i+1. h[i] is the time shift
     applied on segment i+1 (h[0] = 0), chosen so the cdf is continuous at
-    each change time. h_star[i] is the derivative of h[i] with respect to
-    a1, needed by the analytic gradient.
+    each change time. h_star[i] and h_star2[i] are the first and second
+    derivatives of h[i] with respect to a1, needed by the analytic gradient
+    and its curvature.
     """
 
     alphas: np.ndarray
     h: np.ndarray
     h_star: np.ndarray
+    h_star2: np.ndarray
 
 
 def scale_at_level(params: ModelParams, x: float) -> float:
@@ -237,26 +239,27 @@ def shift_terms(params: ModelParams, plan: StressPlan) -> ShiftTerms:
         with np.errstate(over="ignore", under="ignore"):
             alphas = np.exp(exponents)
     # h_i = alpha_{i+1} * sum_{m<=i} (1/alpha_m - 1/alpha_{m+1}) tau_m and its
-    # a1-derivative, accumulated once over segments. Python floats round
-    # exactly as float64 does and cost far less per operation on k values.
+    # first two a1-derivatives, accumulated once over segments. Python floats
+    # round exactly as float64 does and cost far less per operation on k values.
     a = alphas.tolist()
     if not all(math.isfinite(v) and v > 0.0 for v in a):
         raise NumericError("non-finite or vanished scale among stress levels")
     x = plan.stress_levels.tolist()
     tau = plan.change_times.tolist()
-    h = [0.0]
-    h_star = [0.0]
-    inv_gap = 0.0
-    slope_gap = 0.0
+    h, h_star, h_star2 = [0.0], [0.0], [0.0]
+    inv_gap = slope_gap = curv = 0.0
     for i in range(1, len(a)):
         inv_gap += (1.0 / a[i - 1] - 1.0 / a[i]) * tau[i - 1]
         slope_gap += (x[i] / a[i] - x[i - 1] / a[i - 1]) * tau[i - 1]
+        curv += (x[i - 1] ** 2 / a[i - 1] - x[i] ** 2 / a[i]) * tau[i - 1]
         h_i = a[i] * inv_gap
+        h_star_i = h_i * x[i] + a[i] * slope_gap
         h.append(h_i)
-        h_star.append(h_i * x[i] + a[i] * slope_gap)
+        h_star.append(h_star_i)
+        h_star2.append(x[i] * h_star_i + a[i] * (x[i] * slope_gap + curv))
     if not all(map(math.isfinite, h + h_star)):
         raise NumericError("non-finite cumulative-exposure shift")
-    return ShiftTerms(alphas=alphas, h=np.array(h), h_star=np.array(h_star))
+    return ShiftTerms(alphas, np.array(h), np.array(h_star), np.array(h_star2))
 
 
 def _segments(plan: StressPlan, t: np.ndarray, side: str) -> np.ndarray:
@@ -346,6 +349,11 @@ def score_rows(params: ModelParams, plan: StressPlan) -> tuple[np.ndarray, ...]:
     hazard_j = eta/alpha_j * u_j^(eta-1) and v_j = [-(t_j + h_j),
     -(t_j + h_j) x_j + h*_j, log(u_j) (t_j + h_j)/eta]. Unchecked for overflow.
     """
+    return _scores(params, plan)[:3]
+
+
+def _scores(params: ModelParams, plan: StressPlan) -> tuple:
+    """score_rows, then the shift terms, shifted times and log u behind them."""
     terms = shift_terms(params, plan)
     seg = plan.inspection_segments
     shifted, alpha_seg, u = _shifted_scaled(terms, seg, plan.inspection_times)
@@ -357,18 +365,21 @@ def score_rows(params: ModelParams, plan: StressPlan) -> tuple[np.ndarray, ...]:
     v[:, 0] = -shifted
     v[:, 1] = v[:, 0] * plan.inspection_levels + terms.h_star[seg]
     v[:, 2] = log_u * shifted / params.eta
-    return v, hazard, u_eta
+    return v, hazard, u_eta, terms, shifted, log_u
 
 
-def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
+def gradient_matrix(params: ModelParams, plan: StressPlan, curvature: bool = False):
     """Gradient of cell probabilities: W[j] = d pi_{j+1} / d (a0, a1, eta).
 
     Rows are differences w_j = z_j - z_{j-1} of the per-inspection score
     vectors z_j = dG(t_j)/d theta = hazard_j * exp(-u_j^eta) * v_j (see
     :func:`score_rows`), with zero sentinels at both ends, so the matrix has
     shape (L+1) x 3 and its rows sum to the zero vector.
+
+    With ``curvature`` it returns (W, contract): contract(w) is the 3 x 3 matrix
+    sum_c w_c d^2 pi_c / d theta d theta', built from this call's terms when called.
     """
-    v, hazard, u_eta = score_rows(params, plan)
+    v, hazard, u_eta, terms, shifted, log_u = _scores(params, plan)
     dens = hazard * np.exp(-u_eta)
     if not (_all_finite(dens) and _all_finite(v)):
         raise NumericError("gradient evaluation overflowed")
@@ -377,4 +388,21 @@ def gradient_matrix(params: ModelParams, plan: StressPlan) -> np.ndarray:
     w[0] = z[0]
     w[1:-1] = z[1:] - z[:-1]
     w[-1] = -z[-1]
-    return w
+    if not curvature:
+        return w
+    eta, seg = params.eta, plan.inspection_segments
+
+    def contract(weights) -> np.ndarray:
+        # G_j = 1 - exp(-e^A_j), A_j = eta log u_j: with g_j = e^(A_j - e^A_j), d2 G_j =
+        # g_j [d2 A_j + (1 - e^A_j) dA_j dA_j'], and sum_c w_c d2 pi_c = sum_j (w_j - w_j+1) d2 G_j
+        d = (weights[:-1] - weights[1:]) * (u_eta * np.exp(-u_eta))
+        slope = v[:, 1] / shifted  # h*_j/s_j - x_j
+        grad_a = np.empty((len(d), 3))
+        grad_a[:, 0], grad_a[:, 1], grad_a[:, 2] = -eta, eta * slope, log_u
+        out = (grad_a.T * (d * (1.0 - u_eta))) @ grad_a
+        ratio = terms.h_star[seg] / shifted
+        out[1, 1] += eta * (d @ (terms.h_star2[seg] / shifted - ratio * ratio))
+        corner, cross = d.sum(), d @ slope
+        return out + np.array([[0.0, 0.0, -corner], [0.0, 0.0, cross], [-corner, cross, 0.0]])
+
+    return w, contract

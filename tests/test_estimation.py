@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stepstress.estimation as estimation
+import stepstress.montecarlo as montecarlo
 from stepstress.datasets import load_dataset
 from stepstress.errors import DataError, NumericError
 from stepstress.estimation import (
@@ -533,8 +534,47 @@ class TestFitWork:
         pi_gen = spec.generating_probabilities()
         records = [_replicate(spec, pi_gen, rep) for rep in range(10)]
         assert all(record["ok"].all() for record in records)
-        # about 26 per fit when every beta starts from the data-driven pilot
-        assert len(calls) / (10 * len(spec.beta_grid)) <= 20
+        # about 26 per fit when every beta starts from the data-driven pilot,
+        # and 16.9 with L-BFGS-B in fixed coordinates and a hybr polish
+        assert len(calls) / (10 * len(spec.beta_grid)) <= 11
+
+    def test_warm_started_fits_solve_the_estimating_equations(self, monkeypatch):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(fit_proportions(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(montecarlo, "fit_proportions", recording)
+        spec = load_scenario("clean")
+        pi_gen = spec.generating_probabilities()
+        for rep in range(10):
+            _replicate(spec, pi_gen, rep)
+        assert len(results) == 10 * len(spec.beta_grid)
+        assert max(result.grad_norm for result in results) <= 1e-12
+
+    def test_a_start_at_the_estimate_costs_at_most_three_evaluations(self, monkeypatch):
+        # the start, a Newton step that cannot lower the residual, and at most
+        # one more; L-BFGS-B in fixed coordinates plus hybr took 5
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return cell_probabilities(*args)
+
+        spec = load_scenario("clean")
+        for rep in range(3):
+            data = _replication(spec, rep)
+            for beta in spec.beta_grid:
+                estimate = _single_start_fit(spec, data, beta)
+                with monkeypatch.context() as patch:
+                    patch.setattr(estimation, "cell_probabilities", counted)
+                    calls.clear()
+                    again = _single_start_fit(spec, data, beta, start=estimate.params)
+                assert len(calls) <= 3 and again.converged
+                np.testing.assert_allclose(
+                    again.params.as_array(), estimate.params.as_array(), rtol=1e-12
+                )
 
     def test_warm_started_estimates_match_cold_fits(self):
         spec = load_scenario("clean")
@@ -642,12 +682,12 @@ class TestFitPath:
     """fit_path against fitting every beta from the configured cold starts."""
 
     def test_fallback_recovers_a_fit_both_starts_miss(self):
-        # a hard draw near the transistor fit: 290 of 300 devices survive.
-        # At beta = 0.7 neither the beta = 0.6 estimate nor the pilot
-        # converges; the configured starts do
-        plan = load_dataset("transistor").plan
-        data = IntervalData([0, 0, 0, 0, 0, 1, 2, 1, 0, 6, 290], 300)
-        configs = [FitConfig(beta=0.6), FitConfig(beta=0.7)]
+        # a hard draw near the solar fit, census problem 30: 10 devices, all
+        # failed by the fourth inspection. At beta = 0.7 neither the
+        # beta = 0.3 estimate nor the pilot converges; the configured starts do
+        plan = load_dataset("solar").plan
+        data = IntervalData([1, 2, 5, 2, 0, 0, 0], 10)
+        configs = [FitConfig(beta=0.3), FitConfig(beta=0.7)]
         calls = []
 
         def recording(plan, data, config, *, starts=None):
@@ -659,16 +699,32 @@ class TestFitPath:
             path = fit_path(plan, data, configs, recording)
             warm_only = fit(plan, data, configs[1], starts=(path[0].params,))
             cold = fit(plan, data, configs[1])
-        assert [call[:2] for call in calls] == [(0.6, False), (0.7, True), (0.7, False)]
+        assert [call[:2] for call in calls] == [(0.3, False), (0.7, True), (0.7, False)]
         assert not warm_only.converged and not calls[1][2].converged
         assert _usable(path[1]) and path[1].params == cold.params
 
+    def test_one_start_replication_computes_the_pilot_once(self, monkeypatch):
+        # its first fit makes the pilot as its start; a one-start path never
+        # takes the pilot as a warm start, so it does not compute it again
+        pilots = []
+        pilot_start = estimation._pilot_start
+
+        def recording(*args):
+            pilots.append(None)
+            return pilot_start(*args)
+
+        monkeypatch.setattr(estimation, "_pilot_start", recording)
+        spec = load_scenario("clean")
+        record = _replicate(spec, spec.generating_probabilities(), 0)
+        assert record["ok"].all()
+        assert len(pilots) == 1
+
     def test_one_start_path_warms_alone_then_falls_back(self):
-        # the same draw at multistart = 1: beta = 0.7 runs from the beta = 0.6
+        # the same draw at multistart = 1: beta = 0.3 runs from the beta = 0.2
         # estimate alone, which does not converge, then from the pilot
-        plan = load_dataset("transistor").plan
-        data = IntervalData([0, 0, 0, 0, 0, 1, 2, 1, 0, 6, 290], 300)
-        configs = [FitConfig(beta=0.6, multistart=1), FitConfig(beta=0.7, multistart=1)]
+        plan = load_dataset("solar").plan
+        data = IntervalData([1, 2, 5, 2, 0, 0, 0], 10)
+        configs = [FitConfig(beta=0.2, multistart=1), FitConfig(beta=0.3, multistart=1)]
         calls = []
 
         def recording(plan, data, config, *, starts=None):
@@ -679,7 +735,7 @@ class TestFitPath:
             warnings.simplefilter("ignore")
             path = fit_path(plan, data, configs, recording)
         assert _usable(path[0])
-        assert calls == [(0.6, None), (0.7, (path[0].params,)), (0.7, None)]
+        assert calls == [(0.2, None), (0.3, (path[0].params,)), (0.3, None)]
 
     @settings(
         derandomize=True,

@@ -457,6 +457,64 @@ class TestGradientMatrix:
         assert w.shape == (14, 3)
 
 
+def _second_derivative_problems():
+    """Random 2- to 4-level problems, then the bundled ones of _bundled_problems."""
+    rng = np.random.default_rng(615)
+    problems = []
+    while len(problems) < 60:
+        params, plan = random_problem(rng, k_max=4)
+        if plan.n_levels >= 2:
+            problems.append((params, plan))
+    return problems + _bundled_problems()
+
+
+def _shifted(params: ModelParams, m: int, delta: float) -> ModelParams:
+    theta = params.as_array()
+    theta[m] += delta
+    return ModelParams(*theta)
+
+
+class TestSecondDerivatives:
+    """h** and the curvature contraction of gradient_matrix against central differences."""
+
+    def test_h_star2_is_slope_derivative_of_h_star(self):
+        for params, plan in _second_derivative_problems():
+            delta = 1e-6 * (1.0 + abs(params.a1))
+            hi = shift_terms(_shifted(params, 1, delta), plan)
+            lo = shift_terms(_shifted(params, 1, -delta), plan)
+            fd = (hi.h_star - lo.h_star) / (2 * delta)
+            terms = shift_terms(params, plan)
+            assert terms.h_star2[0] == 0.0
+            assert terms.h_star2 == pytest.approx(fd, rel=1e-6, abs=1e-9 * np.max(np.abs(fd)))
+
+    def test_contraction_matches_differences_of_the_gradient(self):
+        rng = np.random.default_rng(616)
+        for params, plan in _second_derivative_problems():
+            weights = rng.normal(size=plan.n_cells)
+            _, contract = gradient_matrix(params, plan, curvature=True)
+            fd = np.empty((3, 3))
+            for m in range(3):
+                delta = 1e-6 * (1.0 + abs(params.as_array()[m]))
+                hi = gradient_matrix(_shifted(params, m, delta), plan)
+                lo = gradient_matrix(_shifted(params, m, -delta), plan)
+                fd[m] = weights @ (hi - lo) / (2 * delta)
+            curvature = contract(weights)
+            assert np.linalg.norm(curvature - fd) <= 1e-7 * np.linalg.norm(fd)
+            assert np.linalg.norm(curvature - curvature.T) <= 1e-14 * np.linalg.norm(fd)
+
+    def test_contraction_vanishes_for_constant_weights(self):
+        # sum_c pi_c = 1, so sum_c d2 pi_c = 0
+        for params, plan in _second_derivative_problems():
+            _, contract = gradient_matrix(params, plan, curvature=True)
+            for value in (1.0, -2.5):
+                assert np.array_equal(contract(np.full(plan.n_cells, value)), np.zeros((3, 3)))
+
+    def test_gradient_is_bit_identical_with_curvature(self):
+        for params, plan in _second_derivative_problems():
+            w, _ = gradient_matrix(params, plan, curvature=True)
+            np.testing.assert_array_equal(w, gradient_matrix(params, plan))
+
+
 class TestScoreRows:
     def test_damped_differences_are_the_gradient(self):
         # hazard * exp(-u^eta) * v per inspection time, differenced with zero
